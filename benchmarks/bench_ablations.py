@@ -27,11 +27,9 @@ from repro.sim import RngRegistry
 
 def test_ablation_policy_routing(scenario):
     """Detour km under policy routing vs latency-shortest paths."""
-    import networkx as nx
     topo = scenario.topology
     policy = list(scenario.routes.route("gw-vie", "probe-uni").path)
-    shortest = nx.shortest_path(topo._graph, "gw-vie", "probe-uni",
-                                weight="weight")
+    shortest = topo.shortest_path("gw-vie", "probe-uni")
     policy_km = units.to_km(topo.geographic_path_length(policy))
     shortest_km = units.to_km(topo.geographic_path_length(shortest))
     assert policy_km > 2.0 * shortest_km

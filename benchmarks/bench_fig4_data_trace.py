@@ -12,7 +12,6 @@ Paper values reproduced:
 Timed work: the geographic route derivation from the trace.
 """
 
-import networkx as nx
 import pytest
 
 from repro import units
@@ -40,8 +39,7 @@ def test_fig4_policy_vs_shortest_path_ablation(scenario):
     path over the same graph never leaves the Vienna corridor."""
     topo = scenario.topology
     policy_path = list(scenario.routes.route("ue-c2", "probe-uni").path)
-    shortest = nx.shortest_path(topo._graph, "ue-c2", "probe-uni",
-                                weight="weight")
+    shortest = topo.shortest_path("ue-c2", "probe-uni")
     policy_km = units.to_km(topo.geographic_path_length(policy_path))
     shortest_km = units.to_km(topo.geographic_path_length(shortest))
     # The physical graph offers no Klagenfurt shortcut (that is the

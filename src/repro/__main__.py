@@ -48,24 +48,16 @@ import argparse
 import json
 import sys
 
-from . import __version__, scenarios, units
-from .apps import all_profiles
-from .core import (
-    CpfEnhancementStudy,
-    FIVE_G_CAPABILITY,
-    InfrastructureEvaluation,
-    KlagenfurtScenario,
-    LocalPeeringExperiment,
-    RequirementsAnalysis,
-    SIX_G_CAPABILITY,
-    SixGUpgradeStudy,
-    UpfPlacementStudy,
-    render_comparison_table,
-)
+from . import __version__
+
+# Each command imports what it uses, so a cold start pays only for the
+# command it runs.
 
 
 def _resolve_spec(args: argparse.Namespace):
     """The selected spec, or a clean CLI error for bad user input."""
+    from . import scenarios
+
     try:
         if args.spec:
             return scenarios.load_spec(args.spec)
@@ -77,6 +69,8 @@ def _resolve_spec(args: argparse.Namespace):
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .core import InfrastructureEvaluation
+
     scenario = _resolve_spec(args)
     if scenario is None:
         return 2
@@ -91,6 +85,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_scenarios(args: argparse.Namespace) -> int:
+    from . import scenarios
+    from .core import render_comparison_table
+
     if args.scenario != "klagenfurt" or args.spec or args.json:
         # Dump one spec as JSON (default scenario name only with --json).
         spec = _resolve_spec(args)
@@ -133,6 +130,7 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from . import scenarios
     from .fleet import (FleetStore, SweepAxis, SweepSpec, fleet_summary,
                         make_executor, print_progress, run_sweep)
 
@@ -389,6 +387,9 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_peering(args: argparse.Namespace) -> int:
+    from . import units
+    from .core import KlagenfurtScenario, LocalPeeringExperiment
+
     outcome = LocalPeeringExperiment(
         KlagenfurtScenario(seed=args.seed)).run()
     print(f"AS path {outcome.before_as_path} -> {outcome.after_as_path}")
@@ -401,6 +402,9 @@ def cmd_peering(args: argparse.Namespace) -> int:
 
 
 def cmd_upf(args: argparse.Namespace) -> int:
+    from . import units
+    from .core import UpfPlacementStudy, render_comparison_table
+
     study = UpfPlacementStudy()
     rows = [[name, units.to_ms(rtt)] for name, rtt in
             study.compare().items()]
@@ -413,6 +417,9 @@ def cmd_upf(args: argparse.Namespace) -> int:
 
 
 def cmd_cpf(args: argparse.Namespace) -> int:
+    from . import units
+    from .core import CpfEnhancementStudy, render_comparison_table
+
     comparisons = CpfEnhancementStudy().compare_all()
     rows = [[c.procedure, units.to_ms(c.centralised_s),
              units.to_ms(c.ric_consolidated_s),
@@ -425,6 +432,10 @@ def cmd_cpf(args: argparse.Namespace) -> int:
 
 
 def cmd_requirements(args: argparse.Namespace) -> int:
+    from .apps import all_profiles
+    from .core import (FIVE_G_CAPABILITY, SIX_G_CAPABILITY,
+                       RequirementsAnalysis, render_comparison_table)
+
     rows = []
     for capability in (FIVE_G_CAPABILITY, SIX_G_CAPABILITY):
         for verdict in RequirementsAnalysis(capability).judge_all(
@@ -439,6 +450,9 @@ def cmd_requirements(args: argparse.Namespace) -> int:
 
 
 def cmd_upgrade(args: argparse.Namespace) -> int:
+    from . import units
+    from .core import SixGUpgradeStudy, render_comparison_table
+
     reports = SixGUpgradeStudy(seed=args.seed,
                                mean_positions_per_cell=2.0).run()
     rows = []

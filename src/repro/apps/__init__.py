@@ -3,29 +3,7 @@
 
 from __future__ import annotations
 
-from .ar_game import (
-    AR_RTT_BUDGET_S,
-    ARGameSession,
-    GameRoundStats,
-    ar_service_chain,
-)
-from .base import ApplicationProfile, Service, ServiceChain
-from .federated import FederatedConfig, FederatedRoundModel
-from .haptics import HapticConfig, HapticLoop
-from .iot import PROTOCOLS, IotProtocol, ProtocolStack, overhead_band_s
-from .v2x import PlatoonConfig, PlatoonModel
-from .video import FrameCycleAnalysis, VideoStreamConfig
-from .workloads import (
-    FactoryLine,
-    SmartCityDeployment,
-    all_profiles,
-    ar_gaming,
-    autonomous_vehicle,
-    massive_iot,
-    remote_surgery,
-    smart_city_traffic,
-    smart_factory,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "AR_RTT_BUDGET_S", "ARGameSession", "GameRoundStats", "ar_service_chain",
@@ -39,3 +17,17 @@ __all__ = [
     "autonomous_vehicle", "massive_iot", "remote_surgery",
     "smart_city_traffic", "smart_factory",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".ar_game": ("AR_RTT_BUDGET_S", "ARGameSession", "GameRoundStats",
+                 "ar_service_chain"),
+    ".base": ("ApplicationProfile", "Service", "ServiceChain"),
+    ".federated": ("FederatedConfig", "FederatedRoundModel"),
+    ".haptics": ("HapticConfig", "HapticLoop"),
+    ".iot": ("PROTOCOLS", "IotProtocol", "ProtocolStack", "overhead_band_s"),
+    ".v2x": ("PlatoonConfig", "PlatoonModel"),
+    ".video": ("FrameCycleAnalysis", "VideoStreamConfig"),
+    ".workloads": ("FactoryLine", "SmartCityDeployment", "all_profiles",
+                   "ar_gaming", "autonomous_vehicle", "massive_iot",
+                   "remote_surgery", "smart_city_traffic", "smart_factory"),
+})

@@ -3,14 +3,7 @@
 
 from __future__ import annotations
 
-from .gtp import GtpTunnel
-from .hypervisor import HypervisorPlanner, PlacementObjective, PlacementResult
-from .nf import NetworkFunction, NFKind, SbiBus, SiteTier
-from .procedures import ProcedureBuilder
-from .qos import FIVE_QI, ContextAwareRuleEngine, QosClass, QosFlow
-from .slicing import NetworkSlice, SliceManager, SliceType
-from .smartnic import LATENCY_FACTOR, THROUGHPUT_GAIN, offload
-from .upf import UserPlaneFunction
+from .._lazy import lazy_exports
 
 __all__ = [
     "GtpTunnel",
@@ -22,3 +15,15 @@ __all__ = [
     "offload", "THROUGHPUT_GAIN", "LATENCY_FACTOR",
     "UserPlaneFunction",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".gtp": ("GtpTunnel",),
+    ".hypervisor": ("HypervisorPlanner", "PlacementObjective",
+                    "PlacementResult"),
+    ".nf": ("NetworkFunction", "NFKind", "SbiBus", "SiteTier"),
+    ".procedures": ("ProcedureBuilder",),
+    ".qos": ("FIVE_QI", "ContextAwareRuleEngine", "QosClass", "QosFlow"),
+    ".slicing": ("NetworkSlice", "SliceManager", "SliceType"),
+    ".smartnic": ("LATENCY_FACTOR", "THROUGHPUT_GAIN", "offload"),
+    ".upf": ("UserPlaneFunction",),
+})

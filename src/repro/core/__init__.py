@@ -3,38 +3,7 @@
 
 from __future__ import annotations
 
-from .cpf_strategy import CpfComparison, CpfEnhancementStudy, QosCacheStudy
-from .evaluation import (
-    EvaluationResult,
-    EvaluationSummary,
-    InfrastructureEvaluation,
-)
-from .future import (
-    FederatedEdgeStudy,
-    PredictiveSlicingStudy,
-    SixGUpgradeStudy,
-    UpgradeArm,
-)
-from .gap import GapAnalysis, GapReport
-from .peering import LocalPeeringExperiment, PeeringOutcome
-from .recommendations import Recommendation, RecommendationEngine
-from .report import render_comparison_table, render_grid_heatmap
-from .requirements import (
-    FIVE_G_CAPABILITY,
-    SIX_G_CAPABILITY,
-    GenerationCapability,
-    RequirementsAnalysis,
-    RequirementVerdict,
-)
-from .scenario import KlagenfurtScenario
-from .sensitivity import KnobResult, SensitivityAnalysis
-from .validation import ValidationIssue, ValidationReport, validate_scenario
-from .slicing_strategy import (
-    HypervisorPlacementStudy,
-    SlicingOutcome,
-    SlicingStudy,
-)
-from .upf_strategy import DynamicUpfSelector, UpfDeployment, UpfPlacementStudy
+from .._lazy import lazy_exports
 
 __all__ = [
     "CpfComparison", "CpfEnhancementStudy", "QosCacheStudy",
@@ -53,3 +22,27 @@ __all__ = [
     "HypervisorPlacementStudy", "SlicingOutcome", "SlicingStudy",
     "DynamicUpfSelector", "UpfDeployment", "UpfPlacementStudy",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".cpf_strategy": ("CpfComparison", "CpfEnhancementStudy",
+                      "QosCacheStudy"),
+    ".evaluation": ("EvaluationResult", "EvaluationSummary",
+                    "InfrastructureEvaluation"),
+    ".future": ("FederatedEdgeStudy", "PredictiveSlicingStudy",
+                "SixGUpgradeStudy", "UpgradeArm"),
+    ".gap": ("GapAnalysis", "GapReport"),
+    ".peering": ("LocalPeeringExperiment", "PeeringOutcome"),
+    ".recommendations": ("Recommendation", "RecommendationEngine"),
+    ".report": ("render_comparison_table", "render_grid_heatmap"),
+    ".requirements": ("FIVE_G_CAPABILITY", "SIX_G_CAPABILITY",
+                      "GenerationCapability", "RequirementsAnalysis",
+                      "RequirementVerdict"),
+    ".scenario": ("KlagenfurtScenario",),
+    ".sensitivity": ("KnobResult", "SensitivityAnalysis"),
+    ".validation": ("ValidationIssue", "ValidationReport",
+                    "validate_scenario"),
+    ".slicing_strategy": ("HypervisorPlacementStudy", "SlicingOutcome",
+                          "SlicingStudy"),
+    ".upf_strategy": ("DynamicUpfSelector", "UpfDeployment",
+                      "UpfPlacementStudy"),
+})

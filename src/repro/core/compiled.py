@@ -21,7 +21,7 @@ any spec sharing that key — bit-identical to a from-scratch
   ``BuiltScenario._build_campaign_config`` (anchors overwrite the
   seeded draws without consuming any stream).
 
-The object is deliberately lean — no topology, no networkx graphs, no
+The object is deliberately lean — no topology, no routing graphs, no
 generators — so it pickles quickly into the on-disk compiled store
 (:class:`repro.fleet.compiled.CompiledScenarioCache`).
 """

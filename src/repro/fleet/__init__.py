@@ -49,47 +49,7 @@ Or from the shell::
 
 from __future__ import annotations
 
-from .cache import (
-    CacheStats,
-    CachingExecutor,
-    ResultCache,
-    rebind_record,
-    run_key,
-)
-from .compiled import CompiledCacheStats, CompiledScenarioCache
-from .compare import (
-    COMPARE_METRICS,
-    FleetComparison,
-    MetricDelta,
-    RecordSet,
-    VariantDelta,
-    compare_paths,
-    compare_record_sets,
-    parse_fail_on,
-)
-from .executors import (
-    BACKENDS,
-    BatchExecutor,
-    Executor,
-    ProcessPoolBackend,
-    RemoteExecutor,
-    RunOutcome,
-    SerialExecutor,
-    ThreadedExecutor,
-    make_executor,
-)
-from .gc import CacheUsage, GcReport, TierUsage, cache_usage, run_gc
-from .progress import ProgressEvent, print_progress
-from .report import comparison_summary, fleet_summary, write_csv
-from .runner import resume_sweep, run_one, run_sweep
-from .store import FleetResult, FleetStore, SCHEMA_VERSION
-from .sweep import (
-    RunRecord,
-    RunSpec,
-    SweepAxis,
-    SweepSpec,
-    record_matches_spec,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "BACKENDS", "BatchExecutor", "CacheStats", "CacheUsage",
@@ -106,3 +66,22 @@ __all__ = [
     "record_matches_spec", "resume_sweep", "run_gc", "run_key",
     "run_one", "run_sweep", "write_csv",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".cache": ("CacheStats", "CachingExecutor", "ResultCache",
+               "rebind_record", "run_key"),
+    ".compiled": ("CompiledCacheStats", "CompiledScenarioCache"),
+    ".compare": ("COMPARE_METRICS", "FleetComparison", "MetricDelta",
+                 "RecordSet", "VariantDelta", "compare_paths",
+                 "compare_record_sets", "parse_fail_on"),
+    ".executors": ("BACKENDS", "BatchExecutor", "Executor",
+                   "ProcessPoolBackend", "RemoteExecutor", "RunOutcome",
+                   "SerialExecutor", "ThreadedExecutor", "make_executor"),
+    ".gc": ("CacheUsage", "GcReport", "TierUsage", "cache_usage", "run_gc"),
+    ".progress": ("ProgressEvent", "print_progress"),
+    ".report": ("comparison_summary", "fleet_summary", "write_csv"),
+    ".runner": ("resume_sweep", "run_one", "run_sweep"),
+    ".store": ("FleetResult", "FleetStore", "SCHEMA_VERSION"),
+    ".sweep": ("RunRecord", "RunSpec", "SweepAxis", "SweepSpec",
+               "record_matches_spec"),
+})

@@ -3,41 +3,7 @@
 
 from __future__ import annotations
 
-from .coords import (
-    EARTH_RADIUS_M,
-    GeoPoint,
-    destination_point,
-    haversine,
-    haversine_many,
-    haversine_matrix,
-    initial_bearing,
-    path_length,
-)
-from .grid import CellId, Grid
-from .mobility import (
-    DriveTestRoute,
-    ManhattanMobility,
-    MobilitySample,
-    RandomWaypoint,
-)
-from .places import (
-    BUCHAREST,
-    FIBRE_CIRCUITY,
-    FRANKFURT,
-    GRAZ,
-    KLAGENFURT,
-    PLACES,
-    PRAGUE,
-    UNIVERSITY_KLAGENFURT,
-    VIENNA,
-    place,
-    route_distance_m,
-)
-from .population import (
-    PopulationModel,
-    RadialPopulationModel,
-    RasterPopulationModel,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "EARTH_RADIUS_M", "GeoPoint", "haversine", "haversine_many",
@@ -50,3 +16,17 @@ __all__ = [
     "route_distance_m",
     "PopulationModel", "RadialPopulationModel", "RasterPopulationModel",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".coords": ("EARTH_RADIUS_M", "GeoPoint", "destination_point",
+                "haversine", "haversine_many", "haversine_matrix",
+                "initial_bearing", "path_length"),
+    ".grid": ("CellId", "Grid"),
+    ".mobility": ("DriveTestRoute", "ManhattanMobility", "MobilitySample",
+                  "RandomWaypoint"),
+    ".places": ("BUCHAREST", "FIBRE_CIRCUITY", "FRANKFURT", "GRAZ",
+                "KLAGENFURT", "PLACES", "PRAGUE", "UNIVERSITY_KLAGENFURT",
+                "VIENNA", "place", "route_distance_m"),
+    ".population": ("PopulationModel", "RadialPopulationModel",
+                    "RasterPopulationModel"),
+})

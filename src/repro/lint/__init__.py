@@ -26,20 +26,7 @@ Public API:
 
 from __future__ import annotations
 
-from .baseline import Baseline, BaselineMatch, apply_baseline
-from .cli import run_lint
-from .config import LintConfig, load_config, path_selected
-from .engine import check_paths, check_source, iter_files
-from .findings import Finding, fingerprint_findings
-from .rules import (
-    CONCURRENCY_RULES,
-    DETERMINISM_RULES,
-    RULES,
-    Rule,
-    active_rules,
-    rule_by_code,
-    rule_catalog,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "Baseline",
@@ -62,3 +49,13 @@ __all__ = [
     "rule_catalog",
     "run_lint",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".baseline": ("Baseline", "BaselineMatch", "apply_baseline"),
+    ".cli": ("run_lint",),
+    ".config": ("LintConfig", "load_config", "path_selected"),
+    ".engine": ("check_paths", "check_source", "iter_files"),
+    ".findings": ("Finding", "fingerprint_findings"),
+    ".rules": ("CONCURRENCY_RULES", "DETERMINISM_RULES", "RULES", "Rule",
+               "active_rules", "rule_by_code", "rule_catalog"),
+})

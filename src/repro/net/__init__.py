@@ -3,26 +3,8 @@
 
 from __future__ import annotations
 
-from .address import IPv4Address, IPv4Prefix, PrefixAllocator, ptr_name
-from .asn import ASGraph, ASKind, AutonomousSystem
-from .dessim import Packet, PacketNetwork
-from .bgp import ASRoute, BGPRouter, RouteClass
-from .flows import TrafficDemand, TrafficMatrix
-from .ixp import InternetExchange
-from .latency import LatencyBreakdown
-from .link import Link, LinkKind
-from .node import Node, NodeKind
-from .queueing import (
-    md1_wait,
-    mg1_wait,
-    mm1_residence,
-    mm1_wait,
-    sample_mm1_wait,
-    utilisation_check,
-)
-from .routing import RouteComputer, RouteResult
-from .topology import Topology
-from .traceroute import TracerouteHop, TracerouteResult, traceroute
+from .._lazy import lazy_exports
+from .traceroute import traceroute  # eager: shadows its submodule
 
 __all__ = [
     "IPv4Address", "IPv4Prefix", "PrefixAllocator", "ptr_name",
@@ -40,3 +22,20 @@ __all__ = [
     "Topology",
     "TracerouteHop", "TracerouteResult", "traceroute",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".address": ("IPv4Address", "IPv4Prefix", "PrefixAllocator", "ptr_name"),
+    ".asn": ("ASGraph", "ASKind", "AutonomousSystem"),
+    ".dessim": ("Packet", "PacketNetwork"),
+    ".bgp": ("ASRoute", "BGPRouter", "RouteClass"),
+    ".flows": ("TrafficDemand", "TrafficMatrix"),
+    ".ixp": ("InternetExchange",),
+    ".latency": ("LatencyBreakdown",),
+    ".link": ("Link", "LinkKind"),
+    ".node": ("Node", "NodeKind"),
+    ".queueing": ("md1_wait", "mg1_wait", "mm1_residence", "mm1_wait",
+                  "sample_mm1_wait", "utilisation_check"),
+    ".routing": ("RouteComputer", "RouteResult"),
+    ".topology": ("Topology",),
+    ".traceroute": ("TracerouteHop", "TracerouteResult"),
+})

@@ -18,11 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import networkx as nx
-
 from .asn import ASGraph
 from .bgp import ASRoute, BGPRouter
-from .topology import Topology
+from .topology import NoPathError, Topology
 
 __all__ = ["RouteResult", "RouteComputer"]
 
@@ -100,24 +98,20 @@ class RouteComputer:
                 "route endpoints must belong to an AS "
                 f"({src!r}: {src_node.asn}, {dst!r}: {dst_node.asn})")
 
-        try:
-            if src_node.asn == dst_node.asn:
-                path = tuple(self.topology.shortest_path(
-                    src, dst, within_asn=src_node.asn))
-                result = RouteResult(src, dst, path, (src_node.asn,), None)
-            else:
-                as_route = self.bgp.route(src_node.asn, dst_node.asn)
-                if as_route is None:
-                    raise LookupError(
-                        f"no policy-compliant route AS{src_node.asn} -> "
-                        f"AS{dst_node.asn}")
-                path = self._stitch(src, dst, as_route.as_path)
-                result = RouteResult(src, dst, tuple(path),
-                                     as_route.as_path, as_route)
-        except nx.NetworkXNoPath as exc:
-            # Normalise the graph library's exception to the documented
-            # unreachability error.
-            raise LookupError(str(exc)) from None
+        # An unreachable segment raises NoPathError, itself a LookupError.
+        if src_node.asn == dst_node.asn:
+            path = tuple(self.topology.shortest_path(
+                src, dst, within_asn=src_node.asn))
+            result = RouteResult(src, dst, path, (src_node.asn,), None)
+        else:
+            as_route = self.bgp.route(src_node.asn, dst_node.asn)
+            if as_route is None:
+                raise LookupError(
+                    f"no policy-compliant route AS{src_node.asn} -> "
+                    f"AS{dst_node.asn}")
+            path = self._stitch(src, dst, as_route.as_path)
+            result = RouteResult(src, dst, tuple(path),
+                                 as_route.as_path, as_route)
         self._cache[key] = result
         return result
 
@@ -140,7 +134,7 @@ class RouteComputer:
                 try:
                     segment = self.topology.shortest_path(
                         current, egress, within_asn=here)
-                except nx.NetworkXNoPath:
+                except NoPathError:
                     continue
                 cost = self._segment_cost(segment)
                 if cost < best_cost:

@@ -1,7 +1,7 @@
 """Router-level topology graph.
 
-Thin, validating wrapper over :class:`networkx.Graph`: nodes are keyed by
-name (carrying :class:`~repro.net.node.Node` objects), edges carry
+A validating dict-of-dicts adjacency: nodes are keyed by name (carrying
+:class:`~repro.net.node.Node` objects), edges carry
 :class:`~repro.net.link.Link` objects.  Provides latency-weighted
 shortest paths and end-to-end latency composition; AS-level *policy*
 path selection lives in :mod:`repro.net.bgp` and stitches through this
@@ -10,9 +10,10 @@ graph for the intra-AS segments.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from heapq import heappop, heappush
+from itertools import count
+from typing import Callable, Iterable, Iterator, Optional
 
-import networkx as nx
 import numpy as np
 
 from .latency import LatencyBreakdown
@@ -20,7 +21,78 @@ from .link import Link, REFERENCE_PACKET_BITS
 from .node import Node
 from .pathkernel import CompiledPath
 
-__all__ = ["Topology"]
+__all__ = ["NoPathError", "Topology"]
+
+
+class NoPathError(LookupError):
+    """No path joins two nodes (or one of them is not in the graph)."""
+
+
+class _Edge:
+    """One link's adjacency entry, shared by both directions."""
+
+    __slots__ = ("link", "weight")
+
+    def __init__(self, link: Link):
+        self.link = link
+        self.weight = link.routing_weight()
+
+
+def _bidirectional_dijkstra(adj: dict[str, dict[str, _Edge]], source: str,
+                            target: str, keep: Callable[[str], bool]
+                            ) -> Optional[list[str]]:
+    """Minimum-weight ``source`` -> ``target`` path, or None.
+
+    A port of networkx's ``bidirectional_dijkstra`` — the algorithm
+    ``nx.shortest_path(G, s, t, weight=...)`` runs — keeping its
+    ``(dist, counter, node)`` heap entries, its alternation between the
+    two search directions and its strict-improvement relaxation, so
+    equal-cost ties resolve to the same path.  The search only enters
+    nodes ``keep`` accepts (as networkx does on a subgraph view).
+    """
+    if source == target:
+        return [source]
+    dists: tuple[dict[str, float], ...] = ({}, {})
+    preds: tuple[dict[str, Optional[str]], ...] = ({source: None},
+                                                   {target: None})
+    seen: tuple[dict[str, float], ...] = ({source: 0}, {target: 0})
+    counter = count()
+    fringe: tuple[list[tuple[float, int, str]], ...] = (
+        [(0, next(counter), source)], [(0, next(counter), target)])
+    meet: Optional[str] = None
+    best = float("inf")
+    direction = 1
+    while fringe[0] and fringe[1]:
+        direction = 1 - direction
+        dist, _, v = heappop(fringe[direction])
+        done = dists[direction]
+        if v in done:
+            continue
+        done[v] = dist
+        if v in dists[1 - direction]:
+            path: list[str] = []
+            node = meet
+            while node is not None:
+                path.append(node)
+                node = preds[0][node]
+            path.reverse()
+            node = preds[1][meet]
+            while node is not None:
+                path.append(node)
+                node = preds[1][node]
+            return path
+        reached, other = seen[direction], seen[1 - direction]
+        for w, edge in adj[v].items():
+            if w in done or not keep(w):
+                continue
+            length = dist + edge.weight
+            if w not in reached or length < reached[w]:
+                reached[w] = length
+                heappush(fringe[direction], (length, next(counter), w))
+                preds[direction][w] = v
+                if w in other and length + other[w] < best:
+                    best, meet = length + other[w], w
+    return None
 
 
 class Topology:
@@ -28,7 +100,7 @@ class Topology:
 
     def __init__(self, name: str = "topology"):
         self.name = name
-        self._graph = nx.Graph()
+        self._adj: dict[str, dict[str, _Edge]] = {}
         self._nodes: dict[str, Node] = {}
 
     # -- construction -----------------------------------------------------
@@ -38,7 +110,7 @@ class Topology:
         if node.name in self._nodes:
             raise ValueError(f"duplicate node name {node.name!r}")
         self._nodes[node.name] = node
-        self._graph.add_node(node.name)
+        self._adj[node.name] = {}
         return node
 
     def add_link(self, link: Link) -> Link:
@@ -46,11 +118,12 @@ class Topology:
         for end in (link.a, link.b):
             if end.name not in self._nodes:
                 raise KeyError(f"link endpoint {end.name!r} not in topology")
-        if self._graph.has_edge(link.a.name, link.b.name):
+        if self.has_link(link.a.name, link.b.name):
             raise ValueError(
                 f"parallel link {link.a.name!r}--{link.b.name!r}")
-        self._graph.add_edge(link.a.name, link.b.name, link=link,
-                             weight=link.routing_weight())
+        edge = _Edge(link)
+        self._adj[link.a.name][link.b.name] = edge
+        self._adj[link.b.name][link.a.name] = edge
         return link
 
     def connect(self, a: Node | str, b: Node | str, **link_kwargs) -> Link:
@@ -62,8 +135,8 @@ class Topology:
 
     def refresh_weights(self) -> None:
         """Recompute routing weights after utilisation changes."""
-        for _, _, data in self._graph.edges(data=True):
-            data["weight"] = data["link"].routing_weight()
+        for edge in self._edges():
+            edge.weight = edge.link.routing_weight()
 
     # -- lookup -------------------------------------------------------------
 
@@ -81,19 +154,20 @@ class Topology:
     def link(self, a: str, b: str) -> Link:
         """The link between two adjacent nodes."""
         try:
-            return self._graph.edges[a, b]["link"]
+            return self._adj[a][b].link
         except KeyError:
             raise KeyError(f"no link {a!r}--{b!r}") from None
 
     def has_link(self, a: str, b: str) -> bool:
         """True when nodes ``a`` and ``b`` are directly linked."""
-        return self._graph.has_edge(a, b)
+        return b in self._adj.get(a, ())
 
     def remove_link(self, a: str, b: str) -> None:
         """Remove a link (failure injection / de-peering)."""
-        if not self._graph.has_edge(a, b):
+        if not self.has_link(a, b):
             raise KeyError(f"no link {a!r}--{b!r}")
-        self._graph.remove_edge(a, b)
+        del self._adj[a][b]
+        del self._adj[b][a]
 
     def nodes(self, kind=None, asn: Optional[int] = None) -> Iterator[Node]:
         """All nodes, optionally filtered by kind and/or AS number."""
@@ -104,10 +178,20 @@ class Topology:
                 continue
             yield node
 
+    def _edges(self) -> Iterator[_Edge]:
+        """Every edge once, node-major in insertion order (the order
+        ``networkx.Graph.edges`` reports)."""
+        visited: set[str] = set()
+        for name, neighbours in self._adj.items():
+            for other, edge in neighbours.items():
+                if other not in visited:
+                    yield edge
+            visited.add(name)
+
     def links(self) -> Iterator[Link]:
         """Iterate over all links."""
-        for _, _, data in self._graph.edges(data=True):
-            yield data["link"]
+        for edge in self._edges():
+            yield edge.link
 
     @property
     def node_count(self) -> int:
@@ -115,13 +199,13 @@ class Topology:
 
     @property
     def link_count(self) -> int:
-        return self._graph.number_of_edges()
+        return sum(map(len, self._adj.values())) // 2
 
     def degree(self, name: str) -> int:
         """Number of links incident to a node."""
         if name not in self._nodes:
             raise KeyError(f"unknown node {name!r}")
-        return self._graph.degree[name]
+        return len(self._adj[name])
 
     # -- paths ----------------------------------------------------------------
 
@@ -133,17 +217,20 @@ class Topology:
         BGP stitching for intra-AS segments; border routers of the AS are
         included by their ``asn`` attribute).
         """
-        graph = self._graph
-        if within_asn is not None:
-            members = [n for n, node in self._nodes.items()
-                       if node.asn == within_asn]
-            graph = self._graph.subgraph(members)
-        try:
-            return nx.shortest_path(graph, src, dst, weight="weight")
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            raise nx.NetworkXNoPath(
+        nodes = self._nodes
+
+        def inside(name: str) -> bool:
+            return name in nodes and (within_asn is None
+                                      or nodes[name].asn == within_asn)
+
+        path = None
+        if inside(src) and inside(dst):
+            path = _bidirectional_dijkstra(self._adj, src, dst, inside)
+        if path is None:
+            raise NoPathError(
                 f"no path {src!r} -> {dst!r}"
-                + (f" inside AS{within_asn}" if within_asn else "")) from None
+                + (f" inside AS{within_asn}" if within_asn else ""))
+        return path
 
     def path_latency(self, path: list[str],
                      size_bits: float = REFERENCE_PACKET_BITS,

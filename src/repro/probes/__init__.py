@@ -3,12 +3,8 @@
 
 from __future__ import annotations
 
-from .analysis import Cdf, DatasetAnalysis
-from .atlas import Probe, ProbeKind, ProbeRegistry
-from .campaign import CampaignConfig, DriveTestCampaign
-from .ping import ping
-from .results import MeasurementDataset, MeasurementRecord
-from .stats import CellAggregate, CellStatistics, MIN_SAMPLES
+from .._lazy import lazy_exports
+from .ping import ping  # eager: shadows its submodule
 
 __all__ = [
     "Cdf", "DatasetAnalysis",
@@ -18,3 +14,11 @@ __all__ = [
     "MeasurementDataset", "MeasurementRecord",
     "CellAggregate", "CellStatistics", "MIN_SAMPLES",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".analysis": ("Cdf", "DatasetAnalysis"),
+    ".atlas": ("Probe", "ProbeKind", "ProbeRegistry"),
+    ".campaign": ("CampaignConfig", "DriveTestCampaign"),
+    ".results": ("MeasurementDataset", "MeasurementRecord"),
+    ".stats": ("CellAggregate", "CellStatistics", "MIN_SAMPLES"),
+})

@@ -3,7 +3,7 @@
 :meth:`DriveTestCampaign.run` used to bottom out in a scalar
 per-measurement pipeline: every one of the ~1.7k RTT samples re-derived
 the serving cell from six full link budgets (each constructing a fresh
-shadowing generator), re-walked the same networkx paths link by link,
+shadowing generator), re-walked the same topology paths link by link,
 and re-validated the same immutable configuration.  This module
 restructures that hot path into two halves without moving a single
 random draw:

@@ -3,26 +3,7 @@
 
 from __future__ import annotations
 
-from .access import AccessProcedure
-from .beam import BeamConfig, BeamManager
-from .channel import ChannelModel
-from .drx import DrxConfig, DrxModel
-from .energy import DIURNAL_URBAN_PROFILE, EnergyModel, SitePowerModel
-from .gnb import GNodeB, RadioNetwork
-from .handover import HandoverEvent, HandoverModel
-from .phy import AirInterface, AirSample
-from .rrc import RrcConfig, RrcState, RrcStateMachine
-from .scheduler import CellLoadModel, SchedulerPolicy
-from .spectrum import Band, Generation, Numerology, RadioConfig
-from .oran import (
-    ControlProcedure,
-    NearRTRIC,
-    NonRTRIC,
-    RicTier,
-    ServiceManagementOrchestration,
-    SignallingLeg,
-    XApp,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "AccessProcedure",
@@ -39,3 +20,19 @@ __all__ = [
     "ControlProcedure", "NearRTRIC", "NonRTRIC", "RicTier",
     "ServiceManagementOrchestration", "SignallingLeg", "XApp",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".access": ("AccessProcedure",),
+    ".beam": ("BeamConfig", "BeamManager"),
+    ".channel": ("ChannelModel",),
+    ".drx": ("DrxConfig", "DrxModel"),
+    ".energy": ("DIURNAL_URBAN_PROFILE", "EnergyModel", "SitePowerModel"),
+    ".gnb": ("GNodeB", "RadioNetwork"),
+    ".handover": ("HandoverEvent", "HandoverModel"),
+    ".phy": ("AirInterface", "AirSample"),
+    ".rrc": ("RrcConfig", "RrcState", "RrcStateMachine"),
+    ".scheduler": ("CellLoadModel", "SchedulerPolicy"),
+    ".spectrum": ("Band", "Generation", "Numerology", "RadioConfig"),
+    ".oran": ("ControlProcedure", "NearRTRIC", "NonRTRIC", "RicTier",
+              "ServiceManagementOrchestration", "SignallingLeg", "XApp"),
+})

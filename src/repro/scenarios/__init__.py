@@ -22,25 +22,14 @@ or from your own spec factory (register it to make
 
 from __future__ import annotations
 
-from .build import BuiltScenario, build, build_count
-from .identity import build_key, build_payload
+from .._lazy import lazy_exports
+
+# Eager: build, klagenfurt and skopje shadow their own submodules, and
+# register runs below.
+from .build import build
 from .klagenfurt import klagenfurt
-from .registry import get, load_spec, names, register
+from .registry import register
 from .skopje import skopje
-from .spec import (
-    ASSpec,
-    CampaignSpec,
-    GatewaySpec,
-    GridSpec,
-    LinkSpec,
-    NodeSpec,
-    PeerSpec,
-    PopulationSpec,
-    ProbeSpec,
-    RadioSpec,
-    ScenarioSpec,
-    SiteSpec,
-)
 
 __all__ = [
     "ASSpec", "CampaignSpec", "GatewaySpec", "GridSpec", "LinkSpec",
@@ -51,6 +40,15 @@ __all__ = [
     "register", "get", "names", "load_spec",
     "klagenfurt", "skopje",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".build": ("BuiltScenario", "build_count"),
+    ".identity": ("build_key", "build_payload"),
+    ".registry": ("get", "load_spec", "names"),
+    ".spec": ("ASSpec", "CampaignSpec", "GatewaySpec", "GridSpec",
+              "LinkSpec", "NodeSpec", "PeerSpec", "PopulationSpec",
+              "ProbeSpec", "RadioSpec", "ScenarioSpec", "SiteSpec"),
+})
 
 register("klagenfurt", klagenfurt)
 register("skopje", skopje)

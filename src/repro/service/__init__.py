@@ -46,22 +46,7 @@ unboundedly.
 
 from __future__ import annotations
 
-from .broker import BrokerBusy, FleetBroker
-from .client import ServiceClient, ServiceError, ServiceUnavailable
-from .contracts import (
-    API_VERSION,
-    ContractError,
-    FleetStatus,
-    Health,
-    LeaseGrant,
-    ResultAck,
-    ResultSubmission,
-    SubmitAck,
-)
-from .journal import FleetJournal
-from .retry import RetryExhausted, RetryPolicy, call_with_retry
-from .server import ReproService
-from .worker import run_worker
+from .._lazy import lazy_exports
 
 __all__ = [
     "API_VERSION",
@@ -84,3 +69,15 @@ __all__ = [
     "call_with_retry",
     "run_worker",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".broker": ("BrokerBusy", "FleetBroker"),
+    ".client": ("ServiceClient", "ServiceError", "ServiceUnavailable"),
+    ".contracts": ("API_VERSION", "ContractError", "FleetStatus", "Health",
+                   "LeaseGrant", "ResultAck", "ResultSubmission",
+                   "SubmitAck"),
+    ".journal": ("FleetJournal",),
+    ".retry": ("RetryExhausted", "RetryPolicy", "call_with_retry"),
+    ".server": ("ReproService",),
+    ".worker": ("run_worker",),
+})

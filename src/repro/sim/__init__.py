@@ -13,27 +13,7 @@ Public surface:
 
 from __future__ import annotations
 
-from .engine import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Simulator,
-    Timeout,
-)
-from .monitor import SeriesMonitor, SummaryStats, TimeWeightedMonitor
-from .resources import Container, PriorityResource, Request, Resource, Store
-from .rng import RngRegistry, stable_seed
-from .sync import (
-    GuardViolation,
-    LockOrderError,
-    SyncContractError,
-    WatchedCondition,
-    WatchedLock,
-    guarded_by,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "Simulator", "Event", "Timeout", "Process", "AllOf", "AnyOf",
@@ -44,3 +24,14 @@ __all__ = [
     "guarded_by", "WatchedLock", "WatchedCondition",
     "SyncContractError", "GuardViolation", "LockOrderError",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".engine": ("AllOf", "AnyOf", "Event", "Interrupt", "Process",
+                "SimulationError", "Simulator", "Timeout"),
+    ".monitor": ("SeriesMonitor", "SummaryStats", "TimeWeightedMonitor"),
+    ".resources": ("Container", "PriorityResource", "Request", "Resource",
+                   "Store"),
+    ".rng": ("RngRegistry", "stable_seed"),
+    ".sync": ("GuardViolation", "LockOrderError", "SyncContractError",
+              "WatchedCondition", "WatchedLock", "guarded_by"),
+})

@@ -6,16 +6,7 @@ suite drives the fleet service with; it lives in the package (not in
 with the exact harness CI uses.
 """
 
-from .faults import (
-    ACTIONS,
-    FaultInjected,
-    FaultSchedule,
-    FaultSpec,
-    SimulatedCrash,
-    WorkerKilled,
-    corrupt_cache_entry,
-    seeded_bytes,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "ACTIONS",
@@ -27,3 +18,9 @@ __all__ = [
     "corrupt_cache_entry",
     "seeded_bytes",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".faults": ("ACTIONS", "FaultInjected", "FaultSchedule", "FaultSpec",
+                "SimulatedCrash", "WorkerKilled", "corrupt_cache_entry",
+                "seeded_bytes"),
+})
