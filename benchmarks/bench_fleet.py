@@ -2,8 +2,9 @@
 
 Measures the wall-clock of the same 8-variant x 4-seed fleet (both
 registered cities x four handover-interruption settings) executed
-serially and across a 4-worker process pool, and pins the engine's
-core contract: the two executions produce bit-identical run records.
+by the ``batch`` backend in one process and with its 8 build-key
+groups spread over 4 processes, and pins the engine's core contract:
+the two executions produce bit-identical run records.
 
 Run directly::
 

@@ -134,7 +134,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from .fleet import (FleetStore, SweepAxis, SweepSpec, fleet_summary,
                         make_executor, print_progress, run_sweep)
 
-    backend = None if args.backend == "auto" else args.backend
+    backend = args.backend
     if backend == "remote":
         # The one backend with connection state: build it here so the
         # URL travels with it (run_sweep only threads jobs through).
@@ -517,14 +517,14 @@ def main(argv: list[str] | None = None) -> int:
                         help="with sweep: seed list 'a,b,c' or range "
                              "'a:b' (end exclusive; default 42)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="with sweep: worker processes (default 1 "
-                             "= serial)")
-    parser.add_argument("--backend", default="auto",
-                        choices=["auto", "batch", "serial", "process",
-                                 "thread", "remote"],
-                        help="with sweep: execution backend (auto = "
-                             "batch when --jobs 1, else process; "
-                             "remote needs --server)")
+                        help="with sweep: processes the batch backend "
+                             "spreads build-key groups over, this one "
+                             "included (default 1 = in-process)")
+    parser.add_argument("--backend", default="batch",
+                        choices=["batch", "serial", "remote"],
+                        help="with sweep: execution backend (default "
+                             "batch; serial is the one-run-at-a-time "
+                             "oracle; remote needs --server)")
     parser.add_argument("--cache", default="", metavar="DIR",
                         help="with sweep/serve/worker: "
                              "content-addressed cache directory; with "

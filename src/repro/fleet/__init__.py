@@ -4,9 +4,10 @@ Where :mod:`repro.scenarios` makes one city serializable data, this
 package makes *many runs* data: a :class:`SweepSpec` (base specs x
 override axes x seeds) expands into :class:`RunSpec` units driven by
 :func:`run_sweep` through a pluggable :class:`Executor` backend —
-the batched two-phase executor (the single-job default), in-process
-serial, process pool, or thread pool — each run reducing to
-a portable :class:`RunRecord` persisted by :class:`FleetStore`.  A
+the build-key-group ``batch`` executor (the default, over ``jobs``
+processes), the ``serial`` oracle, or a ``remote`` fleet service —
+each run reducing to a portable :class:`RunRecord` persisted by
+:class:`FleetStore`.  A
 content-addressed :class:`ResultCache` (keys are SHA-256 digests of
 ``(spec, seed, density)``) wraps any backend via
 :class:`CachingExecutor` so recomputation is never paid twice, a
@@ -40,7 +41,7 @@ Or from the shell::
 
     python -m repro sweep --scenario klagenfurt,skopje \\
         --set campaign.handover_interruption_s=0.03,0.045,0.06 \\
-        --seeds 42:46 --backend process --jobs 4 \\
+        --seeds 42:46 --jobs 4 \\
         --cache result-cache --out fleet-out
     python -m repro sweep --resume --out fleet-out   # finish a kill -9'd run
     python -m repro compare fleet-out fleet-prev --fail-on mobile_mean_ms:2
@@ -56,10 +57,10 @@ __all__ = [
     "CachingExecutor", "COMPARE_METRICS", "CompiledCacheStats",
     "CompiledScenarioCache", "Executor", "FleetComparison",
     "FleetResult", "FleetStore", "GcReport", "MetricDelta",
-    "ProcessPoolBackend", "ProgressEvent", "RecordSet",
-    "RemoteExecutor", "ResultCache", "RunOutcome", "RunRecord",
-    "RunSpec", "SCHEMA_VERSION", "SerialExecutor", "SweepAxis",
-    "SweepSpec", "ThreadedExecutor", "TierUsage", "VariantDelta",
+    "ProgressEvent", "RecordSet", "RemoteExecutor", "ResultCache",
+    "RunOutcome", "RunRecord", "RunSpec", "SCHEMA_VERSION",
+    "SerialExecutor", "SweepAxis", "SweepSpec", "TierUsage",
+    "VariantDelta",
     "cache_usage", "compare_paths", "compare_record_sets",
     "comparison_summary", "fleet_summary", "make_executor",
     "parse_fail_on", "print_progress", "rebind_record",
@@ -75,8 +76,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                  "RecordSet", "VariantDelta", "compare_paths",
                  "compare_record_sets", "parse_fail_on"),
     ".executors": ("BACKENDS", "BatchExecutor", "Executor",
-                   "ProcessPoolBackend", "RemoteExecutor", "RunOutcome",
-                   "SerialExecutor", "ThreadedExecutor", "make_executor"),
+                   "RemoteExecutor", "RunOutcome", "SerialExecutor",
+                   "make_executor"),
     ".gc": ("CacheUsage", "GcReport", "TierUsage", "cache_usage", "run_gc"),
     ".progress": ("ProgressEvent", "print_progress"),
     ".report": ("comparison_summary", "fleet_summary", "write_csv"),

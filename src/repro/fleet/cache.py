@@ -29,7 +29,6 @@ import json
 import os
 import time
 import uuid
-from concurrent.futures import Future
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Optional, Sequence, Union
@@ -241,32 +240,6 @@ class CachingExecutor:
     #: shared with the fleet service broker, which prefills submitted
     #: fleets from the same cache
     _rebind = staticmethod(rebind_record)
-
-    def submit(self, run: RunSpec) -> "Future[RunOutcome]":
-        key = self.cache.key_for(run)
-        record = self.cache.get(key)
-        if record is not None:
-            future: "Future[RunOutcome]" = Future()
-            future.set_result(
-                RunOutcome(record=self._rebind(record, run, key),
-                           wall_s=0.0, cached=True))
-            return future
-        inner_future = self.inner.submit(run)
-        outer: "Future[RunOutcome]" = Future()
-
-        def _store(done: "Future[RunOutcome]") -> None:
-            # Any failure here — the run's own error, cancellation, an
-            # unwritable cache — must land on the outer future, or
-            # callers of ``result()`` would block forever.
-            try:
-                outcome = done.result()
-                self.cache.put(key, outcome.record)
-                outer.set_result(outcome)
-            except BaseException as exc:
-                outer.set_exception(exc)
-
-        inner_future.add_done_callback(_store)
-        return outer
 
     def map(self, runs: Sequence[RunSpec]) -> Iterator[RunOutcome]:
         runs = list(runs)

@@ -40,9 +40,9 @@ import json
 import os
 import pickle
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Mapping, Optional
 
 from ..core.compiled import CompiledScenario
 from ..scenarios.identity import build_key as spec_build_key
@@ -131,6 +131,13 @@ class CompiledScenarioCache:
         self._memory[key] = compiled
         while len(self._memory) > self.capacity:
             self._memory.pop(next(iter(self._memory)))
+
+    def add_stats(self, counts: Mapping[str, int]) -> None:
+        """Add another cache's counters (a pool process's) to these."""
+        with self._lock:
+            for field in fields(CompiledCacheStats):
+                setattr(self.stats, field.name,
+                        getattr(self.stats, field.name) + counts[field.name])
 
     def clear(self) -> None:
         """Drop the in-process tier (disk entries stay)."""

@@ -1,20 +1,20 @@
 """Pluggable execution backends: the seam distributed fleets plug into.
 
-The :class:`Executor` protocol is deliberately tiny — ``submit`` one
-:class:`~repro.fleet.sweep.RunSpec` for a future, ``map`` many for an
-ordered stream of :class:`RunOutcome` values, ``close`` when done — so
-any backend that can move a JSON-sized payload can implement it: the
-three shipped here (in-process serial, process pool, thread pool), a
-result cache wrapping any of them
-(:class:`~repro.fleet.cache.CachingExecutor`), or a future remote
-worker fleet.
+The :class:`Executor` protocol is deliberately tiny — ``map`` many
+:class:`~repro.fleet.sweep.RunSpec` values for an ordered stream of
+:class:`RunOutcome` values, ``close`` when done — so any backend that
+can move a JSON-sized payload can implement it: the three shipped here
+(the serial oracle, the build-key-group ``batch`` executor, and the
+HTTP ``remote`` backend), wrapped by a result cache if wanted
+(:class:`~repro.fleet.cache.CachingExecutor`).
 
-The unit of work is :func:`run_one` — a pure, top-level, picklable
-function from ``(spec JSON, seed, density)`` to a
-:class:`~repro.fleet.sweep.RunRecord`.  Nothing heavyweight crosses an
-executor boundary: workers receive a plain ``RunSpec`` dict and return
-a plain outcome dict, so the pool backends ship only JSON-sized
-payloads while the compiled world and raw dataset die with the worker.
+Two units of work cross a process boundary, both top-level and
+picklable: :func:`execute_group` (one build-key group, what
+``batch --jobs N`` ships to its pool) and :func:`execute_run` /
+:func:`run_one` (one run from scratch, the serial oracle).  Nothing
+heavyweight crosses: workers receive plain ``RunSpec`` dicts and
+return plain outcome dicts, while the compiled world and raw dataset
+stay in the process that built them.
 
 Determinism contract: a record is a function of ``(spec, seed,
 density)`` alone (the scenario compiler draws every stochastic value
@@ -27,9 +27,8 @@ this.  Execution metadata (wall time, cache provenance) rides on the
 from __future__ import annotations
 
 import time
-from concurrent.futures import Executor as _StdlibExecutor
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import Future, ProcessPoolExecutor
+from dataclasses import asdict, dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -54,11 +53,10 @@ __all__ = [
     "BACKENDS",
     "BatchExecutor",
     "Executor",
-    "ProcessPoolBackend",
     "RemoteExecutor",
     "RunOutcome",
     "SerialExecutor",
-    "ThreadedExecutor",
+    "execute_group",
     "execute_run",
     "make_executor",
     "run_one",
@@ -111,7 +109,7 @@ class RunOutcome:
 
 
 def execute_run(run_dict: Mapping[str, Any]) -> dict[str, Any]:
-    """Worker entry point: RunSpec dict in, timed outcome dict out."""
+    """Serial entry point: RunSpec dict in, timed outcome dict out."""
     run = RunSpec.from_dict(run_dict)
     started = time.perf_counter()
     record = run_one(run.scenario.to_json(indent=0), run.seed,
@@ -126,6 +124,51 @@ def _outcome(payload: Mapping[str, Any]) -> RunOutcome:
                       cached=bool(payload.get("cached", False)))
 
 
+def _evaluate_group(runs: Sequence[RunSpec], key: str,
+                    compiled: CompiledScenarioCache) -> Iterator[RunOutcome]:
+    """One build-key group through ``compiled``, outcomes in order.
+
+    Members share one per-group block cache.  Each looks its world up
+    separately so the cache counters tell the true story (1 build +
+    N-1 reuses for an N-run group); all but the first are in-memory
+    hits.
+    """
+    block_cache: dict[Any, Any] = {}
+    for run in runs:
+        world = compiled.get(run.scenario, run.seed, run.density, key=key)
+        started = time.perf_counter()
+        summary = world.evaluate(run.scenario, block_cache=block_cache,
+                                 check_key=False)
+        record = RunRecord(
+            run_id=run.run_id,
+            scenario=run.scenario.name,
+            seed=run.seed,
+            density=run.density,
+            variant=run.variant,
+            summary=summary,
+            spec_key=run.spec_key(),
+        )
+        yield RunOutcome(record=record,
+                         wall_s=time.perf_counter() - started)
+
+
+def execute_group(run_dicts: Sequence[Mapping[str, Any]], key: str,
+                  compiled_dir: Optional[str]) -> dict[str, Any]:
+    """Pool entry point: one build-key group in, its outcome dicts out.
+
+    The group's world is compiled once in this process (or loaded from
+    the ``compiled_dir`` disk tier), and that cache's counters travel
+    back with the outcomes, so the caller's build statistics count
+    pool builds too.
+    """
+    compiled = CompiledScenarioCache(compiled_dir)
+    runs = [RunSpec.from_dict(run_dict) for run_dict in run_dicts]
+    outcomes = [{"record": outcome.record.to_dict(),
+                 "wall_s": outcome.wall_s}
+                for outcome in _evaluate_group(runs, key, compiled)]
+    return {"outcomes": outcomes, "stats": asdict(compiled.stats)}
+
+
 @runtime_checkable
 class Executor(Protocol):
     """What :func:`~repro.fleet.runner.run_sweep` needs from a backend.
@@ -137,10 +180,6 @@ class Executor(Protocol):
 
     name: str
 
-    def submit(self, run: RunSpec) -> "Future[RunOutcome]":
-        """Schedule one run; the future resolves to its outcome."""
-        ...
-
     def map(self, runs: Sequence[RunSpec]) -> Iterator[RunOutcome]:
         """Execute every run, yielding outcomes in input order."""
         ...
@@ -151,20 +190,13 @@ class Executor(Protocol):
 
 
 class SerialExecutor:
-    """In-process, one run at a time — the ``jobs=1`` behavior."""
+    """In-process, one run at a time, each built from scratch — the
+    oracle every other backend's records must equal byte for byte."""
 
     name = "serial"
 
     def __init__(self, jobs: int = 1) -> None:
         self.jobs = 1  # serial by definition; ``jobs`` accepted for symmetry
-
-    def submit(self, run: RunSpec) -> "Future[RunOutcome]":
-        future: "Future[RunOutcome]" = Future()
-        try:
-            future.set_result(_outcome(execute_run(run.to_dict())))
-        except BaseException as exc:
-            future.set_exception(exc)
-        return future
 
     def map(self, runs: Sequence[RunSpec]) -> Iterator[RunOutcome]:
         for run in runs:
@@ -181,91 +213,116 @@ class SerialExecutor:
 
 
 class BatchExecutor:
-    """In-process execution through the compiled-scenario cache.
+    """Build-key-group execution through the compiled-scenario cache.
 
-    The two-phase backend (and the ``jobs=1`` default): runs are
-    grouped by :meth:`~repro.fleet.sweep.RunSpec.build_key`, each group
-    compiles its world once (or pulls it from the cache), and every
-    member replays only the sampling phase — sharing bit-identical
-    per-cell RTT blocks through one per-group block cache.  A
-    campaign-only sweep of any width performs exactly one build.
+    The default backend: runs are grouped by
+    :meth:`~repro.fleet.sweep.RunSpec.build_key`, each group compiles
+    its world once (or pulls it from the cache), and every member
+    replays only the sampling phase — sharing bit-identical per-cell
+    RTT blocks through one per-group block cache.  A campaign-only
+    sweep of any width performs exactly one build.
 
-    Records are bit-identical to :class:`SerialExecutor` output (the
-    compiled-scenario equivalence suite pins this), and ``map`` still
-    yields them in input order: outcomes are computed group by group
-    and buffered until their turn.
+    With ``jobs > 1`` and at least two groups, every group but the
+    first goes whole to a pool of ``jobs - 1`` processes
+    (:func:`execute_group`), and this process is the ``jobs``-th
+    worker: it evaluates the first group, streaming its outcomes, then
+    walks the later groups in order and evaluates each one no pool
+    process has started yet (its task still cancels).  With ``jobs ==
+    1`` or a single group no pool is created.  Either way ``map``
+    yields outcomes in input order, buffered until their turn, and
+    records are bit-identical to :class:`SerialExecutor` output.
 
     The compiled cache may be shared — it is internally synchronized
     (see :class:`~repro.fleet.compiled.CompiledScenarioCache`), which
     is how the fleet service points many broker threads and the GC
-    chore at one instance.
+    chore at one instance.  Pool processes compile through their own
+    cache over the same disk tier and report its counters back here.
     """
 
     name = "batch"
 
     def __init__(self, jobs: int = 1, *,
                  compiled: Optional[CompiledScenarioCache] = None) -> None:
-        self.jobs = 1  # in-process; ``jobs`` accepted for symmetry
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        self.jobs = jobs
         self.compiled = compiled if compiled is not None \
             else CompiledScenarioCache()
+        self._pool: Optional[ProcessPoolExecutor] = None
 
-    def _evaluate(self, run: RunSpec, compiled: Any,
-                  block_cache: dict[Any, Any]) -> RunOutcome:
-        started = time.perf_counter()
-        summary = compiled.evaluate(run.scenario, block_cache=block_cache,
-                                    check_key=False)
-        record = RunRecord(
-            run_id=run.run_id,
-            scenario=run.scenario.name,
-            seed=run.seed,
-            density=run.density,
-            variant=run.variant,
-            summary=summary,
-            spec_key=run.spec_key(),
-        )
-        return RunOutcome(record=record,
-                          wall_s=time.perf_counter() - started)
-
-    def submit(self, run: RunSpec) -> "Future[RunOutcome]":
-        future: "Future[RunOutcome]" = Future()
-        try:
-            outcome, = self.map([run])
-            future.set_result(outcome)
-        except BaseException as exc:
-            future.set_exception(exc)
-        return future
+    def _dispatch(self, runs: Sequence[RunSpec], order: Sequence[str],
+                  members: Mapping[str, Sequence[int]],
+                  ) -> dict[str, "Future[dict[str, Any]]"]:
+        """Submit every group but the first to the pool, by key."""
+        if self.jobs == 1 or len(order) < 2:
+            return {}
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs - 1)
+        directory = self.compiled.directory
+        compiled_dir = None if directory is None else str(directory)
+        return {key: self._pool.submit(
+                    execute_group,
+                    [runs[index].to_dict() for index in members[key]],
+                    key, compiled_dir)
+                for key in order[1:]}
 
     def map(self, runs: Sequence[RunSpec]) -> Iterator[RunOutcome]:
         runs = list(runs)
         # Group in first-encounter order; seeds iterate innermost in
         # sweep expansion, so groups interleave and outcomes must be
         # buffered to preserve input order.
-        group_order: list[str] = []
-        groups: dict[str, list[tuple[int, RunSpec]]] = {}
-        for index, run in enumerate(runs):
-            key = run.build_key()
-            members = groups.get(key)
-            if members is None:
-                members = groups[key] = []
-                group_order.append(key)
-            members.append((index, run))
+        keys = [run.build_key() for run in runs]
+        order: list[str] = []
+        members: dict[str, list[int]] = {}
+        for index, key in enumerate(keys):
+            if key not in members:
+                members[key] = []
+                order.append(key)
+            members[key].append(index)
+        futures = self._dispatch(runs, order, members)
         pending: dict[int, RunOutcome] = {}
         next_index = 0
-        for key in group_order:
-            block_cache: dict[Any, Any] = {}
-            for index, run in groups[key]:
-                # Per-run lookup so the cache counters tell the true
-                # story (1 build + N-1 reuses for an N-run group); all
-                # but the first are in-memory hits.
-                compiled = self.compiled.get(
-                    run.scenario, run.seed, run.density, key=key)
-                pending[index] = self._evaluate(run, compiled, block_cache)
-                while next_index in pending:
+
+        def ready(*, block: bool) -> Iterator[RunOutcome]:
+            # The done prefix, taking in the pool group that holds the
+            # next index once it has finished (or, with ``block``,
+            # waiting for it).
+            nonlocal next_index
+            while next_index < len(runs):
+                if next_index in pending:
                     yield pending.pop(next_index)
                     next_index += 1
+                    continue
+                key = keys[next_index]
+                future = futures.get(key)
+                if future is None or not (block or future.done()):
+                    return
+                del futures[key]
+                payload = future.result()
+                self.compiled.add_stats(payload["stats"])
+                for index, outcome in zip(members[key],
+                                          payload["outcomes"]):
+                    pending[index] = _outcome(outcome)
+
+        for key in order:
+            future = futures.get(key)
+            if future is not None:
+                if not future.cancel():
+                    continue  # a pool process has started this group
+                del futures[key]
+            group = [runs[index] for index in members[key]]
+            for index, outcome in zip(members[key], _evaluate_group(
+                    group, key, self.compiled)):
+                pending[index] = outcome
+                yield from ready(block=False)
+        yield from ready(block=True)
 
     def close(self, *, cancel: bool = False) -> None:
-        # Drop the live compiled worlds; the disk tier (if any) stays.
+        # Stop the pool and drop the live compiled worlds; the disk
+        # tier (if any) stays.
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=cancel)
+            self._pool = None
         self.compiled.clear()
 
     def __enter__(self) -> "BatchExecutor":
@@ -273,96 +330,6 @@ class BatchExecutor:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-class _PoolBackend:
-    """Shared submit/map plumbing over a ``concurrent.futures`` pool.
-
-    The pool is created lazily at first use — sized to the work for
-    ``map``, to ``jobs`` for ``submit`` — and torn down by ``close``.
-    """
-
-    name = "pool"
-
-    def __init__(self, jobs: int = 2) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        self._pool: Optional[_StdlibExecutor] = None
-
-    def _make_pool(self, width: int) -> _StdlibExecutor:
-        raise NotImplementedError
-
-    def _ensure_pool(self) -> _StdlibExecutor:
-        # Always sized to ``jobs``: both pool kinds start workers on
-        # demand, so a small first sweep costs nothing extra and a big
-        # later one still gets the full width.
-        if self._pool is None:
-            self._pool = self._make_pool(self.jobs)
-        return self._pool
-
-    def submit(self, run: RunSpec) -> "Future[RunOutcome]":
-        inner = self._ensure_pool().submit(execute_run, run.to_dict())
-        outer: "Future[RunOutcome]" = Future()
-
-        def _transfer(done: "Future[dict[str, Any]]") -> None:
-            # Everything — the run's own error, cancellation, a decode
-            # failure — must land on the outer future, or callers of
-            # ``result()`` would block forever.
-            try:
-                outer.set_result(_outcome(done.result()))
-            except BaseException as exc:
-                outer.set_exception(exc)
-
-        inner.add_done_callback(_transfer)
-        return outer
-
-    def map(self, runs: Sequence[RunSpec]) -> Iterator[RunOutcome]:
-        runs = list(runs)
-        if not runs:
-            return
-        for payload in self._ensure_pool().map(
-                execute_run, [run.to_dict() for run in runs]):
-            yield _outcome(payload)
-
-    def close(self, *, cancel: bool = False) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=cancel)
-            self._pool = None
-
-    def __enter__(self) -> "_PoolBackend":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class ProcessPoolBackend(_PoolBackend):
-    """Fan out over worker processes — the ``jobs=N`` behavior.
-
-    Payloads cross the boundary as plain dicts, so records are
-    bit-identical to :class:`SerialExecutor` output.
-    """
-
-    name = "process"
-
-    def _make_pool(self, width: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=width)
-
-
-class ThreadedExecutor(_PoolBackend):
-    """Fan out over threads, sharing the interpreter.
-
-    Right for IO-light sweeps and remote-worker shims where runs spend
-    their time waiting, and as the cheap-startup option when process
-    spawn cost would dominate a small fleet.  Safe because ``run_one``
-    shares no mutable state between runs.
-    """
-
-    name = "thread"
-
-    def _make_pool(self, width: int) -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(max_workers=width)
 
 
 class RemoteExecutor:
@@ -413,15 +380,6 @@ class RemoteExecutor:
         self._client = ServiceClient(server, timeout_s=timeout_s,
                                      retry=retry)
 
-    def submit(self, run: RunSpec) -> "Future[RunOutcome]":
-        future: "Future[RunOutcome]" = Future()
-        try:
-            outcome, = self.map([run])
-            future.set_result(outcome)
-        except BaseException as exc:
-            future.set_exception(exc)
-        return future
-
     def map(self, runs: Sequence[RunSpec]) -> Iterator[RunOutcome]:
         runs = list(runs)
         if not runs:
@@ -458,12 +416,10 @@ class RemoteExecutor:
 
 
 #: Backend registry keyed by CLI name
-#: (``--backend serial|batch|process|thread|remote``).
+#: (``--backend serial|batch|remote``).
 BACKENDS: dict[str, Callable[..., "Executor"]] = {
     SerialExecutor.name: SerialExecutor,
     BatchExecutor.name: BatchExecutor,
-    ProcessPoolBackend.name: ProcessPoolBackend,
-    ThreadedExecutor.name: ThreadedExecutor,
     RemoteExecutor.name: RemoteExecutor,
 }
 

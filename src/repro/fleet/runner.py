@@ -3,7 +3,7 @@
 :func:`run_sweep` is the orchestration loop: expand the
 :class:`~repro.fleet.sweep.SweepSpec`, resolve an
 :class:`~repro.fleet.executors.Executor` (by instance, by registered
-backend name, or from ``jobs`` alone), optionally wrap it in a
+backend name, or the ``batch`` default), optionally wrap it in a
 :class:`~repro.fleet.cache.CachingExecutor`, then stream outcomes —
 in expansion order — into the result, the progress callback, and the
 on-disk store.  Records land on disk as they finish, so a sweep killed
@@ -28,7 +28,6 @@ from .compiled import COMPILED_DIR, CompiledScenarioCache
 from .executors import (
     BatchExecutor,
     Executor,
-    ProcessPoolBackend,
     RunOutcome,
     make_executor,
     run_one,
@@ -68,17 +67,11 @@ def _resolve_executor(executor: ExecutorLike, jobs: int,
                       cache: CacheLike) -> tuple[Executor, bool]:
     """The concrete (possibly cache-wrapped) executor, plus whether the
     caller owns it and must close it."""
-    if executor is None:
-        resolved: Executor = (
-            BatchExecutor(compiled=_compiled_cache(cache)) if jobs <= 1
-            else ProcessPoolBackend(jobs=jobs))
-        owned = True
-    elif isinstance(executor, str):
-        resolved = make_executor(executor, jobs=jobs)
-        if isinstance(resolved, BatchExecutor):
-            compiled = _compiled_cache(cache)
-            if compiled is not None:
-                resolved.compiled = compiled
+    if executor is None or isinstance(executor, str):
+        resolved = make_executor(executor or BatchExecutor.name, jobs=jobs)
+        compiled = _compiled_cache(cache)
+        if isinstance(resolved, BatchExecutor) and compiled is not None:
+            resolved.compiled = compiled
         owned = True
     else:
         resolved = executor
@@ -121,11 +114,11 @@ def run_sweep(sweep: SweepSpec, *, jobs: int = 1,
     """Execute every run of ``sweep``; optionally persist to ``out``.
 
     ``executor`` selects the backend: a registered name (``"serial"``,
-    ``"batch"``, ``"process"``, ``"thread"``), a live :class:`Executor`
-    instance (left open for reuse), or ``None`` to pick from ``jobs`` —
-    the batched two-phase executor when ``jobs <= 1``, a process pool
-    otherwise.  ``cache``
-    (a directory or :class:`ResultCache`) wraps the backend in a
+    ``"batch"``, ``"remote"``), a live :class:`Executor` instance (left
+    open for reuse), or ``None`` for ``batch``.  ``jobs`` sizes the
+    batch executor: its build-key groups spread over ``jobs``
+    processes, this one included.  ``cache`` (a directory or
+    :class:`ResultCache`) wraps the backend in a
     :class:`CachingExecutor` so already-computed runs return without
     recompute.  Results come back in expansion order either way.
     """

@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -155,7 +156,11 @@ class SweepSpec:
 
     @property
     def variant_count(self) -> int:
-        return len(self.bases) * len(self.combos())
+        """``len(combos())`` per base, without materialising them."""
+        lengths = [len(axis.values) for axis in self.axes]
+        per_base = (min(lengths, default=1) if self.mode == "zip"
+                    else math.prod(lengths))
+        return len(self.bases) * per_base
 
     @property
     def run_count(self) -> int:

@@ -36,8 +36,8 @@ class ChannelModel:
     """Link-budget model for one carrier frequency.
 
     The shadowing-tile memo is shared whenever one compiled scenario
-    is sampled by several threads (the ``thread`` executor backend),
-    so it is ``guarded_by`` a plain :class:`threading.RLock` — plain
+    is sampled by several threads (a caller sharing one compiled-
+    scenario cache across threads), so it is ``guarded_by`` a plain :class:`threading.RLock` — plain
     rather than a :class:`~repro.sim.sync.WatchedLock` because this
     sits on the sampling hot path (~2k lookups per evaluation) and
     the stdlib lock's C fast path matters here.  The draw itself is a

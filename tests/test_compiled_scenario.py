@@ -222,11 +222,11 @@ def test_batch_records_are_bit_identical_to_serial():
         == [r.to_dict() for r in serial.records]
 
 
-def test_batch_executor_submit_and_disk_backed_sweep(tmp_path):
+def test_batch_executor_map_and_disk_backed_sweep(tmp_path):
     sweep = _campaign_sweep(3)
     runs = sweep.expand()
     with BatchExecutor() as executor:
-        outcome = executor.submit(runs[0]).result()
+        outcome, = executor.map(runs[:1])
     assert outcome.record.run_id == runs[0].run_id
 
     # A cache directory wires up the compiled store: the second sweep

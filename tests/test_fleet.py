@@ -68,6 +68,18 @@ def test_zip_expansion_walks_axes_in_lockstep():
     assert values == [(30e-3, 0.9), (60e-3, 0.93)]
 
 
+def test_run_count_of_a_huge_sweep_is_arithmetic():
+    # 10 axes x 10 values: 10**10 variants, far too many to list.
+    axes = tuple(SweepAxis(f"campaign.axis_{i}", tuple(range(10)))
+                 for i in range(10))
+    huge = small_sweep(axes=axes, seeds=(42, 43))
+    assert huge.variant_count == 10 ** 10
+    assert huge.run_count == 2 * 10 ** 10
+    assert small_sweep(axes=axes, mode="zip").run_count == 10
+    assert small_sweep(axes=()).variant_count == 1
+    assert small_sweep(axes=(), mode="zip").variant_count == 1
+
+
 def test_zip_rejects_unequal_axis_lengths():
     with pytest.raises(ValueError, match="share one length"):
         small_sweep(axes=(SweepAxis(AXIS, (30e-3, 60e-3)),

@@ -183,11 +183,11 @@ def test_cache_serves_across_sweeps_with_different_labels(tmp_path,
         [30e-3, 60e-3]                        # labels follow the sweep
 
 
-def test_caching_executor_submit_hits_and_stores(tmp_path, eval_counter):
+def test_caching_executor_map_hits_and_stores(tmp_path, eval_counter):
     run = small_sweep().expand()[0]
     with CachingExecutor(SerialExecutor(), tmp_path / "cache") as executor:
-        cold = executor.submit(run).result()
-        warm = executor.submit(run).result()
+        cold, = executor.map([run])
+        warm, = executor.map([run])
     assert not cold.cached and warm.cached
     assert warm.wall_s == 0.0
     assert warm.record.to_dict() == cold.record.to_dict()

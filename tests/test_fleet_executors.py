@@ -1,22 +1,25 @@
 """Tests for the pluggable executor API: the backend registry, the
-three shipped backends, submit/map semantics, and ownership rules."""
+three shipped backends, map semantics, build-key-group dispatch over a
+process pool, and ownership rules."""
+
+import multiprocessing
 
 import pytest
 
 from repro.fleet import (
     BACKENDS,
     BatchExecutor,
-    ProcessPoolBackend,
+    FleetStore,
+    RemoteExecutor,
     RunOutcome,
     SerialExecutor,
     SweepAxis,
     SweepSpec,
-    ThreadedExecutor,
     make_executor,
     run_one,
     run_sweep,
 )
-from repro.scenarios import klagenfurt
+from repro.scenarios import klagenfurt, skopje
 
 AXIS = "campaign.handover_interruption_s"
 DENSITY = 2.0
@@ -33,17 +36,33 @@ def small_sweep(**kwargs) -> SweepSpec:
     return SweepSpec(**defaults)
 
 
+def interleaved_sweep() -> SweepSpec:
+    """Eight build keys (2 cities x 2 sigmas x 2 seeds) of two runs each,
+    interleaved in expansion order because seeds iterate innermost."""
+    return SweepSpec(
+        bases=(klagenfurt(), skopje()),
+        axes=(SweepAxis("radio.shadowing_sigma_db", (4.0, 6.0)),
+              SweepAxis(AXIS, (30e-3, 60e-3))),
+        seeds=(42, 43),
+        density=DENSITY,
+    )
+
+
+def records(result) -> list[str]:
+    return [record.to_json() for record in result.records]
+
+
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
-def test_registry_names_the_five_backends():
-    assert set(BACKENDS) == {"serial", "batch", "process", "thread",
-                             "remote"}
+def test_registry_names_the_three_backends():
+    assert set(BACKENDS) == {"serial", "batch", "remote"}
     assert isinstance(make_executor("serial"), SerialExecutor)
-    assert isinstance(make_executor("batch"), BatchExecutor)
-    assert isinstance(make_executor("process", jobs=2), ProcessPoolBackend)
-    assert isinstance(make_executor("thread", jobs=2), ThreadedExecutor)
+    batch = make_executor("batch", jobs=3)
+    assert isinstance(batch, BatchExecutor) and batch.jobs == 3
+    assert isinstance(make_executor("remote", server="http://127.0.0.1:9"),
+                      RemoteExecutor)
 
 
 def test_remote_backend_requires_a_server_url():
@@ -57,43 +76,30 @@ def test_make_executor_rejects_unknown_options():
 
 
 def test_unknown_backend_is_clean_error():
-    with pytest.raises(ValueError, match="unknown backend 'dask'"):
-        make_executor("dask")
+    with pytest.raises(ValueError, match="unknown backend 'process'"):
+        make_executor("process")
 
 
 def test_backend_validates_jobs():
     with pytest.raises(ValueError, match="jobs must be"):
-        ThreadedExecutor(jobs=0)
+        BatchExecutor(jobs=0)
 
 
 # ---------------------------------------------------------------------------
 # The protocol surface
 # ---------------------------------------------------------------------------
 
-def test_serial_submit_returns_resolved_outcome_future():
-    run = small_sweep().expand()[0]
-    with SerialExecutor() as executor:
-        outcome = executor.submit(run).result()
-    assert isinstance(outcome, RunOutcome)
-    assert outcome.record.run_id == run.run_id
-    assert outcome.wall_s > 0.0
-    assert not outcome.cached
-
-
-def test_thread_submit_and_map_agree():
+def test_serial_map_yields_timed_outcomes():
     runs = small_sweep().expand()
-    with ThreadedExecutor(jobs=2) as executor:
-        submitted = [executor.submit(run) for run in runs]
-        via_submit = [future.result().record.to_dict()
-                      for future in submitted]
-    with ThreadedExecutor(jobs=2) as executor:
-        via_map = [outcome.record.to_dict()
-                   for outcome in executor.map(runs)]
-    assert via_submit == via_map
+    with SerialExecutor() as executor:
+        outcomes = list(executor.map(runs))
+    assert all(isinstance(outcome, RunOutcome) for outcome in outcomes)
+    assert [o.record.run_id for o in outcomes] == [r.run_id for r in runs]
+    assert all(o.wall_s > 0.0 and not o.cached for o in outcomes)
 
 
 def test_map_on_empty_run_list_yields_nothing():
-    with ThreadedExecutor(jobs=2) as executor:
+    with BatchExecutor(jobs=2) as executor:
         assert list(executor.map([])) == []
 
 
@@ -102,32 +108,90 @@ def test_map_on_empty_run_list_yields_nothing():
 # ---------------------------------------------------------------------------
 
 def test_all_backends_produce_bit_identical_records():
-    sweep = small_sweep(seeds=(42, 43))
+    # Eight build-key groups, more than any pool here has workers, and
+    # no two consecutive runs share a group: outcomes from the calling
+    # process and from pool processes must merge back in input order.
+    sweep = interleaved_sweep()
+    runs = sweep.expand()
+    assert len({run.build_key() for run in runs}) == 8
+    assert all(a.build_key() != b.build_key()
+               for a, b in zip(runs, runs[1:]))
     serial = run_sweep(sweep, executor="serial")
-    threaded = run_sweep(sweep, executor="thread", jobs=2)
-    pooled = run_sweep(sweep, executor="process", jobs=2)
-    assert [r.to_dict() for r in serial.records] == \
-        [r.to_dict() for r in threaded.records] == \
-        [r.to_dict() for r in pooled.records]
     assert serial.backend == "serial"
-    assert threaded.backend == "thread"
-    assert pooled.backend == "process"
+    for jobs in (1, 2, 3):
+        batch = run_sweep(sweep, executor="batch", jobs=jobs)
+        assert batch.backend == "batch" and batch.jobs == jobs
+        assert records(batch) == records(serial)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_build_counts_include_pool_builds(jobs):
+    # 8 build keys x 4 runs: one build per key wherever it ran.
+    sweep = SweepSpec(
+        bases=(klagenfurt(), skopje()),
+        axes=(SweepAxis("radio.shadowing_sigma_db", (4.0, 6.0)),
+              SweepAxis(AXIS, (0.03, 0.04, 0.05, 0.06))),
+        seeds=(42, 43),
+        density=DENSITY,
+    )
+    stats = run_sweep(sweep, jobs=jobs).exec_stats
+    assert stats == {"builds_performed": 8, "builds_reused": 24}
 
 
 def test_jobs_alone_still_selects_the_backend():
-    # The pre-executor API: jobs<=1 batched in-process, jobs>1
-    # process pool.
+    # No backend named: batch, sized by jobs.
     assert run_sweep(small_sweep()).backend == "batch"
-    assert run_sweep(small_sweep(), jobs=2).backend == "process"
+    pooled = run_sweep(small_sweep(), jobs=2)
+    assert pooled.backend == "batch" and pooled.jobs == 2
+
+
+def test_single_group_sweep_starts_no_pool():
+    runs = small_sweep().expand()   # sampling-only axis: one build key
+    assert len({run.build_key() for run in runs}) == 1
+    before = set(multiprocessing.active_children())
+    with BatchExecutor(jobs=2) as executor:
+        list(executor.map(runs))
+        assert set(multiprocessing.active_children()) == before
+        # Two groups do start one, kept until close.
+        list(executor.map(small_sweep(seeds=(42, 43)).expand()))
+        assert set(multiprocessing.active_children()) - before
+    assert set(multiprocessing.active_children()) == before
+
+
+def test_pool_group_error_surfaces_and_close_leaves_no_pool():
+    # The second group cannot build (negative sigma); it is shipped to
+    # the pool while this process evaluates the first.
+    sweep = small_sweep(axes=(SweepAxis("radio.shadowing_sigma_db",
+                                        (4.0, -1.0)),))
+    before = set(multiprocessing.active_children())
+    executor = BatchExecutor(jobs=2)
+    with pytest.raises(ValueError, match="shadowing sigma"):
+        list(executor.map(sweep.expand()))
+    assert set(multiprocessing.active_children()) - before
+    executor.close(cancel=True)
+    assert set(multiprocessing.active_children()) == before
 
 
 def test_caller_supplied_executor_is_left_open():
-    executor = ThreadedExecutor(jobs=2)
-    first = run_sweep(small_sweep(), executor=executor)
-    second = run_sweep(small_sweep(), executor=executor)  # still usable
+    executor = BatchExecutor(jobs=2)
+    first = run_sweep(small_sweep(seeds=(42, 43)), executor=executor)
+    second = run_sweep(small_sweep(seeds=(42, 43)), executor=executor)
     executor.close()
-    assert [r.to_dict() for r in first.records] == \
-        [r.to_dict() for r in second.records]
+    assert records(first) == records(second)
+
+
+def test_fleet_written_by_a_retired_backend_still_resumes(tmp_path):
+    sweep = small_sweep(seeds=(42, 43))
+    out = tmp_path / "fleet"
+    full = run_sweep(sweep, executor="serial", out=str(out))
+    manifest = out / "manifest.json"
+    manifest.write_text(manifest.read_text().replace(
+        '"backend": "serial"', '"backend": "process"'))
+    assert FleetStore(out).load().backend == "process"
+    sorted((out / "runs").glob("*.json"))[0].unlink()
+    resumed = FleetStore(out).resume(jobs=2)
+    assert resumed.cached_count == len(resumed) - 1
+    assert records(resumed) == records(full)
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +219,26 @@ def test_default_run_id_is_stable_across_calls():
 # CLI surface
 # ---------------------------------------------------------------------------
 
-def test_cli_sweep_thread_backend(capsys):
+def test_cli_sweep_jobs_2(capsys):
     from repro.__main__ import main
 
     assert main(["sweep", "--scenario", "klagenfurt",
                  "--set", f"{AXIS}=0.03,0.06",
-                 "--seeds", "42", "--backend", "thread", "--jobs", "2",
+                 "--seeds", "42,43", "--jobs", "2",
                  "--density", "2"]) == 0
     stdout = capsys.readouterr().out
-    assert "backend=thread" in stdout
-    assert "thread backend, jobs=2" in stdout
+    assert "backend=batch, jobs=2" in stdout
+    assert "batch backend, jobs=2" in stdout
+    assert "2 builds performed, 2 reused" in stdout
+
+
+def test_cli_rejects_retired_backends(capsys):
+    from repro.__main__ import main
+
+    for retired in ("auto", "process", "thread"):
+        with pytest.raises(SystemExit):
+            main(["sweep", "--backend", retired])
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_cli_progress_flag_gates_per_run_lines(capsys):
