@@ -581,9 +581,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--worker-id", default="", dest="worker_id",
                         help="with worker: stable identity reported "
                              "to the service (default worker-<pid>)")
-    parser.add_argument("--poll", type=float, default=0.5,
-                        help="with worker: idle poll interval in "
-                             "seconds (default 0.5)")
+    parser.add_argument("--poll", type=float, default=5.0,
+                        help="with worker: how long one idle lease "
+                             "request waits at the server for work, in "
+                             "seconds (a long poll; default 5)")
     parser.add_argument("--max-idle", type=float, default=None,
                         dest="max_idle", metavar="SECONDS",
                         help="with worker: exit after this long "

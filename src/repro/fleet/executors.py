@@ -44,7 +44,7 @@ from typing import (
 from ..core.evaluation import InfrastructureEvaluation
 from ..scenarios.spec import ScenarioSpec
 from .compiled import CompiledScenarioCache
-from .sweep import RunRecord, RunSpec, run_key
+from .sweep import RunRecord, RunSpec, pack_runs, run_key
 
 if TYPE_CHECKING:   # import cycle: repro.service imports the fleet layer
     from ..service.retry import RetryPolicy
@@ -336,9 +336,13 @@ class RemoteExecutor:
     """Ship runs to a ``repro serve`` fleet service over HTTP.
 
     The distributed backend: ``map`` submits the expanded runs as one
-    fleet (``POST /fleets`` with a run list), remote ``repro worker``
-    processes lease and evaluate them, and outcomes stream back — in
-    input order — by polling the fleet's record endpoint.  Worker
+    fleet (``POST /fleets`` with a compact run list: each base spec
+    once plus per-run overrides, see
+    :func:`~repro.fleet.sweep.pack_runs`), remote ``repro worker``
+    processes lease and evaluate them a build-key group at a time,
+    and outcomes stream back — in input order — through long polls of
+    the fleet's record endpoint, each answered as soon as the next
+    run in order is done (or after ``wait_s``).  Worker
     loss is invisible here: the broker re-queues expired leases and
     deduplicates results by content identity, so this side only ever
     sees each run finish once.  Records are bit-identical to local
@@ -360,7 +364,7 @@ class RemoteExecutor:
     name = "remote"
 
     def __init__(self, jobs: int = 1, *, server: str = "",
-                 poll_s: float = 0.2, timeout_s: float = 60.0,
+                 wait_s: float = 10.0, timeout_s: float = 60.0,
                  retry: Optional["RetryPolicy"] = None) -> None:
         if not server:
             raise ValueError(
@@ -373,7 +377,7 @@ class RemoteExecutor:
 
         self.jobs = max(1, jobs)
         self.server = server
-        self.poll_s = poll_s
+        self.wait_s = wait_s
         if retry is None:
             retry = RetryPolicy(max_attempts=8, base_delay_s=0.2,
                                 max_delay_s=5.0, timeout_s=timeout_s)
@@ -384,12 +388,11 @@ class RemoteExecutor:
         runs = list(runs)
         if not runs:
             return
-        ack = self._client.submit_runs([run.to_dict() for run in runs])
+        ack = self._client.submit_runs(pack_runs(runs))
         next_index = 0
         while next_index < len(runs):
-            slots, _ = self._client.slots(ack.fleet_id,
-                                          since=next_index)
-            yielded = 0
+            slots, _ = self._client.slots(ack.fleet_id, since=next_index,
+                                          wait_s=self.wait_s)
             for slot in slots:
                 # Outcomes must stream in input order, so only the
                 # done-prefix is consumed; later finishers wait.
@@ -399,10 +402,7 @@ class RemoteExecutor:
                     record=RunRecord.from_dict(slot["record"]),
                     wall_s=float(slot["wall_s"]),
                     cached=bool(slot["cached"]))
-                yielded += 1
-            next_index += yielded
-            if next_index < len(runs) and yielded == 0:
-                time.sleep(self.poll_s)
+                next_index += 1
 
     def close(self, *, cancel: bool = False) -> None:
         # Leases self-expire server-side; nothing to release here.

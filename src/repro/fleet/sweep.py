@@ -19,17 +19,24 @@ stored record against the :class:`RunSpec` it claims to answer.  The
 positional ``run_id`` (``name-v012-s42``) is display metadata only;
 resume, caching, and cross-fleet comparison all align on content.
 
+:func:`pack_runs` / :func:`unpack_runs` carry a run list compactly —
+each distinct base spec once, every run as the dotted-path overrides
+that patch it out of its base, checked against its declared
+``spec_key`` on the way back in.  The fleet service sends and
+journals run lists in that form.
+
 Every class here round-trips losslessly through ``to_dict``/``from_dict``
 and JSON, like the scenario layers they build on.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Mapping, Sequence
 
 from ..core.evaluation import EvaluationSummary
@@ -42,8 +49,10 @@ __all__ = [
     "SweepAxis",
     "SweepSpec",
     "canonical_dumps",
+    "pack_runs",
     "record_matches_spec",
     "run_key",
+    "unpack_runs",
 ]
 
 
@@ -231,12 +240,22 @@ class RunSpec:
 
     def spec_key(self) -> str:
         """The run's content identity: :func:`run_key` over its inputs."""
+        return self._spec_key
+
+    @functools.cached_property
+    def _spec_key(self) -> str:
+        # Hashed once per run: the service verifies, prefills, acks
+        # and caches under this key.
         return run_key(self.scenario, self.seed, self.density)
 
     def build_key(self) -> str:
         """The run's *build* identity: runs sharing it differ only in
         sampling-layer fields and can evaluate against one compiled
         scenario (see :mod:`repro.scenarios.identity`)."""
+        return self._build_key
+
+    @functools.cached_property
+    def _build_key(self) -> str:
         return spec_build_key(self.scenario, self.seed, self.density)
 
     def legacy_identity(self) -> tuple[Any, ...]:
@@ -254,6 +273,116 @@ class RunSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":
         return cls(**data)
+
+
+def _plain(value: Any) -> Any:
+    """A spec value as the JSON its layer serialises it to."""
+    if is_dataclass(value):
+        return value.to_dict()  # type: ignore[attr-defined]
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
+
+
+def _spec_diff(old: Any, new: Any, path: str, out: dict[str, Any]) -> bool:
+    """Add to ``out`` the ``with_overrides`` paths that turn ``old``
+    into ``new`` exactly.
+
+    Shared sub-layers (``old is new``, as ``with_overrides`` leaves
+    every unpatched layer) cost nothing.  A leaf that an override
+    cannot reproduce exactly (an int where the base holds a float,
+    ``None`` over a value) makes the enclosing layer or tuple go whole;
+    ``False`` means even ``old`` itself would have to (the root).
+    """
+    if old is new:
+        return True
+    if is_dataclass(old) and type(new) is type(old):
+        children = [(f.name, getattr(old, f.name), getattr(new, f.name))
+                    for f in fields(old)]
+    elif (isinstance(old, tuple) and isinstance(new, tuple)
+            and len(old) == len(new)):
+        children = [(str(index), a, b)
+                    for index, (a, b) in enumerate(zip(old, new))]
+    elif type(old) is type(new) and old == new:
+        return True
+    elif old is not None and type(old) is not type(new):
+        return False
+    else:
+        children = None
+    if children is not None:
+        patches: dict[str, Any] = {}
+        if all(_spec_diff(a, b, f"{path}.{name}" if path else name,
+                          patches)
+               for name, a, b in children):
+            out.update(patches)
+            return True
+    if not path:
+        return False
+    out[path] = _plain(new)
+    return True
+
+
+def pack_runs(runs: Sequence[RunSpec]) -> dict[str, Any]:
+    """``runs`` as ``{"bases": [spec], "runs": [compact run]}``.
+
+    Runs sharing a scenario name are written as overrides of the first
+    of them, so every base is the spec of the first run that names it
+    (with empty overrides); each compact run carries ``run_id``, ``base``
+    (an index into ``bases``), ``overrides``, ``seed``, ``density``,
+    ``variant`` and its ``spec_key``.  :func:`unpack_runs` reverses it.
+    """
+    bases: list[ScenarioSpec] = []
+    by_name: dict[str, int] = {}
+    packed: list[dict[str, Any]] = []
+    for run in runs:
+        spec = run.scenario
+        base = by_name.get(spec.name)
+        overrides: dict[str, Any] = {}
+        if base is None or not _spec_diff(bases[base], spec, "",
+                                          overrides):
+            base = len(bases)
+            bases.append(spec)
+            by_name.setdefault(spec.name, base)
+            overrides = {}
+        packed.append({"run_id": run.run_id, "base": base,
+                       "overrides": overrides, "seed": run.seed,
+                       "density": run.density,
+                       "variant": [list(p) for p in run.variant],
+                       "spec_key": run.spec_key()})
+    return {"bases": [b.to_dict() for b in bases], "runs": packed}
+
+
+def unpack_runs(payload: Mapping[str, Any]) -> list[RunSpec]:
+    """The runs of a :func:`pack_runs` payload, each rebuilt as
+    ``base.with_overrides(overrides)`` (so runs share their base's
+    unpatched layers) and checked against its declared ``spec_key``.
+
+    Full :class:`RunSpec` dicts (the form before compact run lists)
+    are read as they are.  Raises :class:`ValueError` for a run whose
+    rebuilt spec does not hash to its ``spec_key``, and ``KeyError``
+    or ``TypeError`` for a malformed payload.
+    """
+    bases = [ScenarioSpec.from_dict(base)
+             for base in payload.get("bases") or ()]
+    runs: list[RunSpec] = []
+    for data in payload["runs"]:
+        if "scenario" in data:
+            runs.append(RunSpec.from_dict(data))
+            continue
+        index = data["base"]
+        if not (isinstance(index, int) and 0 <= index < len(bases)):
+            raise ValueError(f"run {data['run_id']!r}: no base {index!r}")
+        run = RunSpec(
+            run_id=data["run_id"],
+            scenario=bases[index].with_overrides(dict(data["overrides"])),
+            seed=data["seed"], density=data["density"],
+            variant=data["variant"])
+        if run.spec_key() != data["spec_key"]:
+            raise ValueError(
+                f"run {run.run_id!r}: rebuilt spec does not match its "
+                f"spec_key")
+        runs.append(run)
+    return runs
 
 
 @dataclass(frozen=True)

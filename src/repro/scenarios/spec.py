@@ -26,6 +26,7 @@ Design rules:
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import (
@@ -84,9 +85,16 @@ def _int_pairs(seq: Sequence[Any]) -> tuple[tuple[int, int], ...]:
     return tuple((int(a), int(b)) for a, b in seq)
 
 
+@functools.lru_cache(maxsize=None)
+def _type_hints(cls: type) -> dict[str, Any]:
+    """``get_type_hints`` once per class: evaluating the string
+    annotations is most of an override's cost otherwise."""
+    return get_type_hints(cls)
+
+
 def _is_optional(owner: Any, field_name: str) -> bool:
     """Whether a dataclass field is declared ``Optional[...]``."""
-    hint = get_type_hints(type(owner)).get(field_name)
+    hint = _type_hints(type(owner)).get(field_name)
     return (hint is not None and get_origin(hint) is Union
             and type(None) in get_args(hint))
 

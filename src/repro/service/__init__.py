@@ -11,10 +11,12 @@ layer runs in one process tree, this package runs across machines:
   :class:`~repro.fleet.cache.ResultCache` (GC'd on a period via
   :mod:`repro.fleet.gc`).
 * :func:`run_worker` / ``python -m repro worker`` — a pull-loop
-  worker leasing expanded :class:`~repro.fleet.sweep.RunSpec`\\ s and
-  evaluating them through the compiled/batch path.  Dead workers are
-  tolerated by lease expiry + content-identity dedup: their runs
-  simply return to the queue, and no run is ever counted twice.
+  worker leasing whole build-key groups of expanded
+  :class:`~repro.fleet.sweep.RunSpec`\\ s (one long-polled round trip
+  per group) and evaluating each group through the compiled/batch
+  path.  Dead workers are tolerated by lease expiry + content-identity
+  dedup: their runs simply return to the queue, and no run is ever
+  counted twice.
 * :class:`ServiceClient` — typed ``urllib`` access to every route,
   also the transport behind the ``remote`` executor backend
   (:class:`repro.fleet.executors.RemoteExecutor`).
@@ -57,6 +59,7 @@ __all__ = [
     "FleetStatus",
     "Health",
     "LeaseGrant",
+    "LeaseGroup",
     "ReproService",
     "ResultAck",
     "ResultSubmission",
@@ -74,8 +77,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".broker": ("BrokerBusy", "FleetBroker"),
     ".client": ("ServiceClient", "ServiceError", "ServiceUnavailable"),
     ".contracts": ("API_VERSION", "ContractError", "FleetStatus", "Health",
-                   "LeaseGrant", "ResultAck", "ResultSubmission",
-                   "SubmitAck"),
+                   "LeaseGrant", "LeaseGroup", "ResultAck",
+                   "ResultSubmission", "SubmitAck"),
     ".journal": ("FleetJournal",),
     ".retry": ("RetryExhausted", "RetryPolicy", "call_with_retry"),
     ".server": ("ReproService",),

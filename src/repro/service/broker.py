@@ -3,11 +3,13 @@
 One broker instance backs one ``repro serve`` process.  Clients submit
 fleets (a :class:`~repro.fleet.sweep.SweepSpec`, or an already-expanded
 run list from :class:`~repro.fleet.executors.RemoteExecutor`); workers
-lease runs one at a time and post :class:`~repro.fleet.sweep.RunRecord`
-results back.  Queue state lives in memory guarded by one lock — the
-durable artifacts are the fleet directories under ``root`` (written
-through :class:`~repro.fleet.store.FleetStore`, so a completed service
-fleet is byte-compatible with a locally-run one), the shared
+lease whole build-key groups — every pending run of a fleet that
+shares one compiled world, one lease id per run — and post each
+:class:`~repro.fleet.sweep.RunRecord` back as it finishes.  Queue
+state lives in memory guarded by one lock — the durable artifacts
+are the fleet directories under ``root`` (written through
+:class:`~repro.fleet.store.FleetStore`, so a completed service fleet
+is byte-compatible with a locally-run one), the shared
 :class:`~repro.fleet.cache.ResultCache`, and, when configured, the
 append-only :class:`~repro.service.journal.FleetJournal` that lets a
 restarted server :meth:`recover` every fleet it had accepted.
@@ -15,8 +17,9 @@ restarted server :meth:`recover` every fleet it had accepted.
 Fault model (the reason leases and the journal exist):
 
 * A worker that dies mid-run simply never posts its result.  Its
-  lease expires after ``lease_ttl_s`` and the run returns to the
-  queue — the next ``lease()`` call from any worker picks it up.
+  lease expires ``lease_ttl_s`` after the grant or after its group's
+  last posted result, whichever is later, and the run returns to the
+  queue — the next lease from any worker picks it up.
 * Results are deduplicated by content identity: a run is *done* the
   first time a verifying record lands, and every later submission for
   it (a raced worker, a zombie finishing after its lease expired, a
@@ -37,7 +40,10 @@ Fault model (the reason leases and the journal exist):
   the same sweep, crashes and retries included.
 
 Time is injected (``clock``) so lease expiry is unit-testable without
-sleeping.
+sleeping.  Idle callers long-poll: :meth:`FleetBroker.lease_group` and
+:meth:`FleetBroker.slots` take ``wait_s`` and block on the broker's
+condition until work or a result arrives, instead of the caller
+sleeping between requests.
 """
 
 from __future__ import annotations
@@ -55,7 +61,9 @@ from ..fleet.sweep import (
     RunRecord,
     RunSpec,
     SweepSpec,
+    pack_runs,
     record_matches_spec,
+    unpack_runs,
 )
 from .contracts import (
     ContractError,
@@ -97,7 +105,7 @@ class _Slot:
     """One run's live state inside the broker."""
 
     __slots__ = ("run", "state", "attempt", "worker_id", "deadline",
-                 "record", "wall_s", "cached")
+                 "group", "record", "wall_s", "cached")
 
     def __init__(self, run: RunSpec) -> None:
         self.run = run
@@ -105,6 +113,7 @@ class _Slot:
         self.attempt = 0          # lease generation counter
         self.worker_id = ""
         self.deadline = 0.0
+        self.group = ""           # first lease id of the grant it rode
         self.record: Optional[RunRecord] = None
         self.wall_s = 0.0
         self.cached = False
@@ -125,11 +134,15 @@ class _Fleet:
 
     def __init__(self, fleet_id: str, slots: list[_Slot],
                  store: FleetStore, sweep: Optional[SweepSpec],
-                 created: float) -> None:
+                 created: float,
+                 packed: Optional[list[dict[str, Any]]] = None) -> None:
         self.fleet_id = fleet_id
         self.slots = slots
         self.store = store
         self.sweep = sweep
+        # A run-list fleet's compact runs (``pack_runs``): its journal
+        # entry holds these plus each base once, not a spec per run.
+        self.packed = packed or []
         self.created = created
         self.finished = 0.0
         self.complete = False
@@ -148,8 +161,14 @@ class _Fleet:
                                  "submission_key": self.submission_key}
         if self.sweep is not None:
             entry["sweep"] = self.sweep.to_dict()
-        else:
-            entry["runs"] = [slot.run.to_dict() for slot in self.slots]
+            return entry
+        # Each base is the spec of the first run packed against it.
+        bases: dict[int, Any] = {}
+        for slot, run in zip(self.slots, self.packed):
+            bases.setdefault(run["base"], slot.run.scenario)
+        entry["bases"] = [bases[index].to_dict()
+                          for index in range(len(bases))]
+        entry["runs"] = self.packed
         return entry
 
 
@@ -226,7 +245,13 @@ class FleetBroker:
     def submit_sweep(self, sweep: SweepSpec, *,
                      submission_key: str = "") -> SubmitAck:
         """Queue every run of ``sweep``; its directory becomes a full
-        fleet store (manifest + records + CSV once complete)."""
+        fleet store (manifest + records + CSV once complete).  The
+        capacity limits see the sweep's arithmetic run count before
+        it is expanded, so an oversized sweep is refused without
+        materialising one spec per run."""
+        with self._cond:
+            if submission_key not in self._submissions:
+                self._check_capacity(sweep.run_count)
         return self._submit(list(sweep.expand()), sweep,
                             submission_key)
 
@@ -240,7 +265,8 @@ class FleetBroker:
         ids = [run.run_id for run in runs]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate run ids in submitted fleet")
-        return self._submit(list(runs), None, submission_key)
+        return self._submit(list(runs), None, submission_key,
+                            pack_runs(runs)["runs"])
 
     def _check_capacity(self, incoming: int) -> None:  # lint: holds(_cond)
         """Refuse the submission when it would exceed a limit.  Caller
@@ -265,7 +291,9 @@ class FleetBroker:
                     retry_after_s=self.busy_retry_s)
 
     def _submit(self, runs: list[RunSpec], sweep: Optional[SweepSpec],
-                submission_key: str) -> SubmitAck:
+                submission_key: str,
+                packed: Optional[list[dict[str, Any]]] = None
+                ) -> SubmitAck:
         with self._cond:
             if submission_key and submission_key in self._submissions:
                 # Idempotent replay: a client retrying an ambiguous
@@ -281,7 +309,7 @@ class FleetBroker:
             fleet_id = f"fleet-{self._counter:04d}"
             store = FleetStore(self.root / fleet_id)
             fleet = _Fleet(fleet_id, [_Slot(run) for run in runs],
-                           store, sweep, self.clock())
+                           store, sweep, self.clock(), packed)
             fleet.submission_key = submission_key
             # Journal before the fleet directory exists: recovery then
             # always knows about any fleet id with a directory, so a
@@ -324,43 +352,85 @@ class FleetBroker:
 
     # -- leasing ----------------------------------------------------------
 
-    def lease(self, worker_id: str) -> Optional[LeaseGrant]:
+    def lease(self, worker_id: str, *,
+              wait_s: float = 0.0) -> Optional[LeaseGrant]:
         """Check the next pending run out to ``worker_id``, or
-        ``None`` when the queue is empty (or the broker is draining).
+        ``None`` when none arrives within ``wait_s`` (or the broker is
+        draining) — :meth:`lease_group` with ``max_runs=1``."""
+        grants = self.lease_group(worker_id, max_runs=1, wait_s=wait_s)
+        return grants[0] if grants else None
+
+    def lease_group(self, worker_id: str, *, max_runs: int = 1,
+                    wait_s: float = 0.0) -> list[LeaseGrant]:
+        """Check out to ``worker_id`` the next build-key group: the
+        first pending run in submission order plus every later pending
+        run of its fleet with the same build key, at most ``max_runs``
+        in all, one lease id each.
+
         Expired leases are swept first, so a dead worker's runs are
-        offered again here.  Raises :class:`BrokerBusy` when the
-        per-worker lease rate cap refuses a grant that work exists
-        for — the worker should wait ``retry_after_s`` and come back.
+        offered again here.  With nothing pending, waits up to
+        ``wait_s`` for a submission or a requeue; returns ``[]`` when
+        none comes or once :meth:`drain` starts.  Raises
+        :class:`BrokerBusy` when the per-worker lease rate cap refuses
+        a grant that work exists for — the worker should wait
+        ``retry_after_s`` and come back.
         """
-        now = self.clock()
+        if max_runs < 1:
+            raise ValueError("max_runs must be >= 1")
+        deadline = time.monotonic() + wait_s
         with self._cond:
-            if self._draining:
-                return None
-            self._expire(now)
-            for fleet in self._fleets.values():
-                if fleet.complete:
-                    continue
-                for index, slot in enumerate(fleet.slots):
-                    if slot.state != PENDING:
-                        continue
-                    self._check_lease_rate(worker_id, now)
-                    slot.state = LEASED
-                    slot.attempt += 1
-                    slot.worker_id = worker_id
-                    slot.deadline = now + self.lease_ttl_s
-                    self._last_grant[worker_id] = now
-                    lease_id = (f"{fleet.fleet_id}:{index}:"
-                                f"{slot.attempt}")
-                    self._journal({"type": "lease",
-                                   "fleet_id": fleet.fleet_id,
-                                   "run_id": slot.run.run_id,
-                                   "lease_id": lease_id,
-                                   "worker_id": worker_id})
-                    return LeaseGrant(lease_id=lease_id,
-                                      fleet_id=fleet.fleet_id,
-                                      run=slot.run.to_dict(),
-                                      ttl_s=self.lease_ttl_s)
-        return None
+            while not self._draining:
+                now = self.clock()
+                self._expire(now)
+                grants = self._grant(worker_id, max_runs, now)
+                if grants:
+                    return grants
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self._cond.wait(min(remaining, 0.5))
+        return []
+
+    def _grant(self, worker_id: str,  # lint: holds(_cond)
+               max_runs: int, now: float) -> list[LeaseGrant]:
+        """Lease the next build-key group, or ``[]`` when nothing is
+        pending.  Caller holds the lock."""
+        for fleet in self._fleets.values():
+            if fleet.complete:
+                continue
+            pending = [i for i, slot in enumerate(fleet.slots)
+                       if slot.state == PENDING]
+            if not pending:
+                continue
+            self._check_lease_rate(worker_id, now)
+            key = fleet.slots[pending[0]].run.build_key()
+            members = [pending[0]]
+            for index in pending[1:]:
+                if len(members) == max_runs:
+                    break
+                if fleet.slots[index].run.build_key() == key:
+                    members.append(index)
+            self._last_grant[worker_id] = now
+            grants: list[LeaseGrant] = []
+            for index in members:
+                slot = fleet.slots[index]
+                slot.state = LEASED
+                slot.attempt += 1
+                slot.worker_id = worker_id
+                slot.deadline = now + self.lease_ttl_s
+                lease_id = f"{fleet.fleet_id}:{index}:{slot.attempt}"
+                slot.group = grants[0].lease_id if grants else lease_id
+                grants.append(LeaseGrant(
+                    lease_id=lease_id, fleet_id=fleet.fleet_id,
+                    run=slot.run.to_dict(), ttl_s=self.lease_ttl_s))
+            self._journal({"type": "lease",
+                           "fleet_id": fleet.fleet_id,
+                           "run_ids": [fleet.slots[i].run.run_id
+                                       for i in members],
+                           "lease_ids": [g.lease_id for g in grants],
+                           "worker_id": worker_id})
+            return grants
+        return []
 
     def _check_lease_rate(self, worker_id: str,  # lint: holds(_cond)
                           now: float) -> None:
@@ -414,14 +484,21 @@ class FleetBroker:
         Dedup contract: the first *verifying* record wins; anything
         after it — including a zombie worker finishing a run that was
         re-queued and completed by someone else — is a duplicate, not
-        an error, and changes nothing.
+        an error, and changes nothing.  A post against a run's current
+        lease renews the deadlines of its group's runs still leased:
+        the worker holding them is alive and working through them.
         """
         with self._cond:
             # Lease resolution reads _fleets, so it must happen inside
             # the lock — resolving first and locking after raced with
             # concurrent submissions mutating the fleet table.
-            fleet, index, _ = self._parse_lease(submission.lease_id)
+            fleet, index, attempt = self._parse_lease(submission.lease_id)
             slot = fleet.slots[index]
+            if slot.state == LEASED and attempt == slot.attempt:
+                deadline = self.clock() + self.lease_ttl_s
+                for other in fleet.slots:
+                    if other.state == LEASED and other.group == slot.group:
+                        other.deadline = deadline
             if submission.error:
                 if slot.state == LEASED:
                     # Fast requeue: don't wait out the lease for a run
@@ -620,13 +697,15 @@ class FleetBroker:
                     sweep_data)
                 runs = list(sweep.expand())
             else:
+                # Compact runs, or full RunSpec dicts from journals
+                # written before run lists were packed.
                 sweep = None
-                runs = [RunSpec.from_dict(d)
-                        for d in entry.get("runs") or []]
+                runs = unpack_runs(entry) if entry.get("runs") else []
         except (KeyError, TypeError, ValueError):
             return None
         if not runs:
             return None
+        packed = None if sweep is not None else pack_runs(runs)["runs"]
         store = FleetStore(self.root / fleet_id)
         if sweep is not None and not store.manifest_path.exists():
             # The crash landed between the journal append and the
@@ -634,7 +713,7 @@ class FleetBroker:
             store.begin(sweep, jobs=1, backend="service")
         existing = store.existing_records()
         fleet = _Fleet(fleet_id, [_Slot(run) for run in runs], store,
-                       sweep, self.clock())
+                       sweep, self.clock(), packed)
         fleet.submission_key = str(entry.get("submission_key") or "")
         fleet_acks = acks.get(fleet_id, {})
         for slot in fleet.slots:
@@ -792,12 +871,21 @@ class FleetBroker:
             return {"fleets": len(self._fleets), "running": running,
                     "pending": pending, "leased": leased}
 
-    def slots(self, fleet_id: str, *,
-              since: int = 0) -> tuple[list[dict[str, Any]], bool]:
+    def slots(self, fleet_id: str, *, since: int = 0,
+              wait_s: float = 0.0) -> tuple[list[dict[str, Any]], bool]:
         """Slot snapshots from index ``since`` on, plus the complete
-        flag — the polling surface ``RemoteExecutor`` streams from."""
+        flag — the surface ``RemoteExecutor`` streams from.  With
+        ``wait_s``, first waits (long poll) until slot ``since`` is
+        done or the wait times out."""
+        deadline = time.monotonic() + wait_s
         with self._cond:
             fleet = self._fleet(fleet_id)
+            while (since < len(fleet.slots)
+                   and fleet.slots[since].state != DONE):
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self._cond.wait(min(remaining, 0.5))
             return ([slot.to_dict() for slot in fleet.slots[since:]],
                     fleet.complete)
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import uuid
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, Mapping, Optional, Union
 from urllib.error import HTTPError, URLError
 from urllib.request import Request, urlopen
 
@@ -39,6 +39,7 @@ from .contracts import (
     FleetStatus,
     Health,
     LeaseGrant,
+    LeaseGroup,
     ResultAck,
     ResultSubmission,
     SubmitAck,
@@ -88,13 +89,14 @@ class ServiceClient:
 
     # -- plumbing ---------------------------------------------------------
 
-    def _http(self, method: str, path: str,
-              body: Optional[bytes]) -> Any:
+    def _http(self, method: str, path: str, body: Optional[bytes],
+              wait_s: float = 0.0) -> Any:
         request = Request(
             self.base_url + path, data=body, method=method,
             headers={"Content-Type": "application/json"} if body else {})
         try:
-            with urlopen(request, timeout=self.timeout_s) as response:
+            with urlopen(request,
+                         timeout=self.timeout_s + wait_s) as response:
                 return json.loads(response.read() or b"null")
         except HTTPError as exc:
             detail = ""
@@ -118,8 +120,8 @@ class ServiceClient:
             raise ServiceUnavailable(
                 f"cannot reach {self.base_url}: {exc.reason}") from None
 
-    def _attempt(self, method: str, path: str,
-                 body: Optional[bytes]) -> Any:
+    def _attempt(self, method: str, path: str, body: Optional[bytes],
+                 wait_s: float) -> Any:
         """One attempt, with the fault-injection seam around it."""
         op = f"{method} {path}"
         verb = self._fault(op) if self._fault is not None else None
@@ -127,12 +129,12 @@ class ServiceClient:
             raise ServiceUnavailable(
                 f"cannot reach {self.base_url}: "
                 f"injected drop of {op}")
-        result = self._http(method, path, body)
+        result = self._http(method, path, body, wait_s)
         if verb == "duplicate":
             # The network delivered the request twice; the server's
             # idempotency makes the echo harmless.
             try:
-                self._http(method, path, body)
+                self._http(method, path, body, wait_s)
             except (ServiceError, ServiceUnavailable):
                 pass
         if verb == "drop-response":
@@ -153,7 +155,10 @@ class ServiceClient:
         return None
 
     def _request(self, method: str, path: str,
-                 payload: Optional[dict[str, Any]] = None) -> Any:
+                 payload: Optional[dict[str, Any]] = None, *,
+                 wait_s: float = 0.0) -> Any:
+        """``wait_s`` is a long poll the server may hold the request
+        for; it extends this request's socket timeout."""
         body = (json.dumps(payload).encode()
                 if payload is not None else None)
         kwargs: dict[str, Any] = {}
@@ -161,7 +166,7 @@ class ServiceClient:
             kwargs["sleep"] = self._sleep
         try:
             return call_with_retry(
-                lambda: self._attempt(method, path, body),
+                lambda: self._attempt(method, path, body, wait_s),
                 policy=self.retry, classify=self._classify,
                 key=f"{method} {path}", **kwargs)
         except RetryExhausted as exc:
@@ -200,12 +205,16 @@ class ServiceClient:
             "sweep": sweep,
             "submission_key": submission_key or uuid.uuid4().hex}))
 
-    def submit_runs(self, runs: list[dict[str, Any]], *,
-                    submission_key: Optional[str] = None) -> SubmitAck:
-        """Submit already-expanded :class:`RunSpec` dicts."""
-        return SubmitAck.from_dict(self._post("/fleets", {
-            "runs": runs,
-            "submission_key": submission_key or uuid.uuid4().hex}))
+    def submit_runs(self,
+                    runs: Union[Mapping[str, Any], list[dict[str, Any]]],
+                    *, submission_key: Optional[str] = None) -> SubmitAck:
+        """Submit already-expanded runs: a compact
+        :func:`~repro.fleet.sweep.pack_runs` payload (each base spec
+        once, per-run overrides), or a list of full ``RunSpec`` dicts.
+        """
+        body = dict(runs) if isinstance(runs, Mapping) else {"runs": runs}
+        body["submission_key"] = submission_key or uuid.uuid4().hex
+        return SubmitAck.from_dict(self._post("/fleets", body))
 
     def fleets(self) -> list[FleetStatus]:
         return [FleetStatus.from_dict(entry)
@@ -214,10 +223,14 @@ class ServiceClient:
     def status(self, fleet_id: str) -> FleetStatus:
         return FleetStatus.from_dict(self._get(f"/fleets/{fleet_id}"))
 
-    def slots(self, fleet_id: str, *,
-              since: int = 0) -> tuple[list[dict[str, Any]], bool]:
-        """Slot snapshots from ``since`` on, plus the complete flag."""
-        payload = self._get(f"/fleets/{fleet_id}/records?since={since}")
+    def slots(self, fleet_id: str, *, since: int = 0,
+              wait_s: float = 0.0) -> tuple[list[dict[str, Any]], bool]:
+        """Slot snapshots from ``since`` on, plus the complete flag;
+        ``wait_s`` long-polls until slot ``since`` is done."""
+        path = f"/fleets/{fleet_id}/records?since={since}"
+        if wait_s:
+            path += f"&wait_s={wait_s:g}"
+        payload = self._request("GET", path, wait_s=wait_s)
         return list(payload["slots"]), bool(payload["complete"])
 
     def record(self, fleet_id: str, run_id: str) -> dict[str, Any]:
@@ -268,6 +281,17 @@ class ServiceClient:
         if payload.get("run") is None:
             return None
         return LeaseGrant.from_dict(payload)
+
+    def lease_group(self, worker_id: str, *, max_runs: int,
+                    wait_s: float = 0.0) -> LeaseGroup:
+        """Check out up to ``max_runs`` pending runs of the next
+        build-key group, one lease per run; an empty group means no
+        work arrived within ``wait_s`` (a long poll the server caps).
+        Safe to retry, like :meth:`lease`."""
+        return LeaseGroup.from_dict(self._request(
+            "POST", "/lease", {"worker_id": worker_id,
+                               "max_runs": max_runs, "wait_s": wait_s},
+            wait_s=wait_s))
 
     def post_result(self, lease_id: str, record: dict[str, Any], *,
                     wall_s: float = 0.0) -> ResultAck:

@@ -24,6 +24,7 @@ __all__ = [
     "FleetStatus",
     "Health",
     "LeaseGrant",
+    "LeaseGroup",
     "ResultAck",
     "ResultSubmission",
     "SubmitAck",
@@ -215,6 +216,37 @@ class LeaseGrant:
         return cls(lease_id=str(data["lease_id"]),
                    fleet_id=str(data["fleet_id"]), run=dict(run),
                    ttl_s=float(data.get("ttl_s", 0.0)),
+                   api=int(data.get("api", API_VERSION)))
+
+
+@dataclass(frozen=True)
+class LeaseGroup:
+    """``POST /lease`` response to a request carrying ``max_runs``:
+    up to that many pending runs of one build-key group, one
+    :class:`LeaseGrant` (and lease id) per run.
+
+    Each result posted against one of the grants renews the deadlines
+    of the group's runs still leased.  An empty group means no work
+    arrived within the request's ``wait_s``; ``draining`` says the
+    server will grant nothing more.
+    """
+
+    grants: tuple[LeaseGrant, ...] = ()
+    draining: bool = False
+    api: int = API_VERSION
+
+    def to_dict(self) -> dict[str, Any]:
+        return {"api": self.api,
+                "grants": [grant.to_dict() for grant in self.grants],
+                "draining": self.draining}
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "LeaseGroup":
+        _check_api(data, "lease-group")
+        _require(data, "lease-group", "grants")
+        return cls(grants=tuple(LeaseGrant.from_dict(grant)
+                                for grant in data["grants"]),
+                   draining=bool(data.get("draining", False)),
                    api=int(data.get("api", API_VERSION)))
 
 

@@ -18,15 +18,22 @@ encodings):
                                       stats, limits, drain state
 ``GET  /scenarios``                   the scenario registry
 ``GET  /scenarios/<name>``            one spec as JSON
-``POST /fleets``                      submit ``{"sweep": ...}`` or
-                                      ``{"runs": [...]}``; 201 + SubmitAck
+``POST /fleets``                      submit ``{"sweep": ...}`` or a run
+                                      list ``{"bases": [...], "runs":
+                                      [...]}`` (``pack_runs``); 201 +
+                                      SubmitAck
 ``GET  /fleets``                      status list
 ``GET  /fleets/<id>``                 one fleet's status
 ``GET  /fleets/<id>/events``          NDJSON progress stream
                                       (``?follow=1`` blocks until complete)
-``GET  /fleets/<id>/records``         slot snapshots (``?since=N``)
+``GET  /fleets/<id>/records``         slot snapshots (``?since=N``;
+                                      ``&wait_s=S`` long-polls for slot N)
 ``GET  /fleets/<id>/records/<run>``   one run record
-``POST /lease``                       worker checkout; 200 grant or 204
+``POST /lease``                       worker checkout: with ``max_runs``
+                                      a LeaseGroup (one build-key group),
+                                      without it one grant or
+                                      ``{"run": null}``; ``wait_s``
+                                      long-polls for work
 ``POST /results``                     worker return; ResultAck
 ``GET  /compare?a=<id>&b=<id>``       cross-fleet comparison report
 ====================================  ======================================
@@ -35,9 +42,11 @@ Errors are JSON ``{"error": ...}``: 400 for malformed payloads, 404
 for unknown fleets/runs/leases, 409 for a result that fails content
 verification, and 429 + ``Retry-After`` when backpressure (submission
 limits, the lease rate cap, drain mode) refuses work — the shared
-retry policy honors the hint.  The server is deliberately thin —
-every decision lives in the broker, which is driven directly (no
-sockets) by the unit tests; these handlers only translate HTTP.
+retry policy honors the hint.  A long poll (``wait_s``) is capped at
+``stream_heartbeat_s``, the same bound an idle event stream waits.
+The server is deliberately thin — every decision lives in the broker,
+which is driven directly (no sockets) by the unit tests; these
+handlers only translate HTTP.
 
 Lifecycle chores run in a background thread: expired leases are swept
 even when no worker is polling, the journal is compacted once its
@@ -60,9 +69,9 @@ from .. import __version__, scenarios
 from ..fleet.cache import ResultCache
 from ..fleet.compare import compare_paths
 from ..fleet.gc import cache_usage, run_gc
-from ..fleet.sweep import RunSpec, SweepSpec
+from ..fleet.sweep import SweepSpec, unpack_runs
 from .broker import BrokerBusy, FleetBroker
-from .contracts import ContractError, Health, ResultSubmission
+from .contracts import ContractError, Health, LeaseGroup, ResultSubmission
 from .journal import FleetJournal
 
 __all__ = ["ReproService"]
@@ -281,8 +290,7 @@ class ReproService:
                 ack = self.broker.submit_sweep(sweep,
                                                submission_key=key)
             elif "runs" in body:
-                runs = [RunSpec.from_dict(run) for run in body["runs"]]
-                ack = self.broker.submit_runs(runs,
+                ack = self.broker.submit_runs(unpack_runs(body),
                                               submission_key=key)
             else:
                 raise _BadRequest(
@@ -292,6 +300,34 @@ class ReproService:
             raise _BadRequest(f"invalid fleet submission: {message}") \
                 from None
         return 201, ack.to_dict()
+
+    def lease(self, body: Any) -> dict[str, Any]:
+        """Answer one POST /lease body."""
+        if not isinstance(body, dict):
+            raise _BadRequest("lease body must be an object")
+        worker = str(body.get("worker_id", "")) or "anonymous"
+        wait_s = self.long_poll_s(body.get("wait_s", 0.0))
+        if "max_runs" not in body:
+            # A single-run client: the grant itself, or no run.
+            grant = self.broker.lease(worker, wait_s=wait_s)
+            return grant.to_dict() if grant is not None else {"run": None}
+        max_runs = body["max_runs"]
+        if not isinstance(max_runs, int) or max_runs < 1:
+            raise _BadRequest("max_runs must be a positive integer")
+        grants = self.broker.lease_group(worker, max_runs=max_runs,
+                                         wait_s=wait_s)
+        return LeaseGroup(grants=tuple(grants),
+                          draining=self.broker.draining()).to_dict()
+
+    def long_poll_s(self, value: Any) -> float:
+        """A requested long-poll wait, capped at the heartbeat."""
+        try:
+            wait = float(value)
+        except (TypeError, ValueError):
+            raise _BadRequest("wait_s must be a number") from None
+        if not wait >= 0.0:      # negative or NaN: no wait
+            wait = 0.0
+        return min(wait, self.stream_heartbeat_s)
 
     def compare(self, a: str, b: str) -> dict[str, Any]:
         dirs = []
@@ -420,8 +456,10 @@ class _Handler(BaseHTTPRequestHandler):
                 except ValueError:
                     raise _BadRequest("since must be an integer") \
                         from None
-                slots, complete = service.broker.slots(parts[1],
-                                                       since=since)
+                wait_s = service.long_poll_s(
+                    query.get("wait_s", ["0"])[0])
+                slots, complete = service.broker.slots(
+                    parts[1], since=since, wait_s=wait_s)
                 self._json(200, {"fleet_id": parts[1], "since": since,
                                  "complete": complete, "slots": slots})
             elif (len(parts) == 4 and parts[0] == "fleets"
@@ -442,15 +480,7 @@ class _Handler(BaseHTTPRequestHandler):
                 status, payload = service.submit(self._read_json())
                 self._json(status, payload)
             elif parts == ["lease"]:
-                body = self._read_json()
-                if not isinstance(body, dict):
-                    raise _BadRequest("lease body must be an object")
-                worker = str(body.get("worker_id", "")) or "anonymous"
-                grant = service.broker.lease(worker)
-                if grant is None:
-                    self._json(200, {"run": None})
-                else:
-                    self._json(200, grant.to_dict())
+                self._json(200, service.lease(self._read_json()))
             elif parts == ["results"]:
                 body = self._read_json()
                 if not isinstance(body, dict):

@@ -1,13 +1,17 @@
 """``python -m repro worker``: a remote executor process.
 
 The worker is a small pull loop against one ``repro serve`` instance:
-lease a run, evaluate it through the existing compiled/batch path
-(one :class:`~repro.fleet.executors.BatchExecutor` is kept for the
-whole session, so consecutive runs sharing a build key reuse one
-compiled world), POST the record back, repeat.  Determinism needs no
-help here — a :class:`~repro.fleet.sweep.RunRecord` is a pure
-function of ``(spec, seed, density)``, so *which* worker evaluates a
-run never shows in the record.
+lease a build-key group (every pending run of a fleet that shares one
+compiled world, in one round trip), evaluate it through one
+:class:`~repro.fleet.executors.BatchExecutor` ``map`` — so the runs
+share the compiled world and its per-group block cache, and the
+executor is kept for the whole session — POST each record back as
+soon as it is done, repeat.  An idle lease request long-polls: the
+server holds it until work arrives or ``poll_s`` passes, so there is
+no sleep between requests.  Determinism needs no help here — a
+:class:`~repro.fleet.sweep.RunRecord` is a pure function of
+``(spec, seed, density)``, so *which* worker evaluates a run never
+shows in the record.
 
 Failure handling mirrors the broker's fault model: an evaluation
 error is reported (the run re-queues immediately for another worker),
@@ -29,12 +33,13 @@ from __future__ import annotations
 import os
 import time
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from ..fleet.compiled import COMPILED_DIR, CompiledScenarioCache
 from ..fleet.executors import BatchExecutor
 from ..fleet.sweep import RunSpec
 from .client import ServiceClient, ServiceError, ServiceUnavailable
+from .contracts import LeaseGrant
 from .retry import RetryPolicy
 
 __all__ = ["run_worker"]
@@ -43,9 +48,13 @@ __all__ = ["run_worker"]
 #: worker gives up (each one already spans ``max_retries`` attempts).
 MAX_UNREACHABLE = 5
 
+#: Most runs one lease may check out: a bound on what one worker holds
+#: (and what waits out a lease if it dies).
+MAX_GROUP_RUNS = 256
+
 
 def run_worker(server: str, *, worker_id: str = "",
-               poll_s: float = 0.5,
+               poll_s: float = 5.0,
                max_idle_s: Optional[float] = None,
                max_runs: Optional[int] = None,
                max_retries: int = 5,
@@ -57,9 +66,11 @@ def run_worker(server: str, *, worker_id: str = "",
                    Callable[[str], Optional[str]]] = None) -> int:
     """Drain runs from ``server`` until told (or left) to stop.
 
-    Returns the number of runs this worker completed.  ``max_idle_s``
-    bounds how long an empty queue is polled before exiting;
-    ``max_runs`` caps the session; ``cache_dir`` adds a local on-disk
+    Returns the number of runs this worker completed.  ``poll_s`` is
+    how long one idle lease request waits at the server for work (a
+    long poll, capped server-side); ``max_idle_s`` bounds how long an
+    empty queue is polled before exiting; ``max_runs`` caps the
+    session (and each lease); ``cache_dir`` adds a local on-disk
     compiled-scenario tier so repeated builds survive worker restarts.
     ``max_retries`` sizes the default retry policy (override the whole
     policy with ``retry=``); ``sleep``/``fault_hook`` are the test
@@ -95,8 +106,16 @@ def run_worker(server: str, *, worker_id: str = "",
             if max_runs is not None and completed >= max_runs:
                 say(f"{worker_id}: max-runs reached, exiting")
                 break
+            asked = time.monotonic()
+            wait_s = poll_s
+            if max_idle_s is not None:
+                idle_s = 0.0 if idle_since is None else asked - idle_since
+                wait_s = max(0.0, min(poll_s, max_idle_s - idle_s))
             try:
-                grant = client.lease(worker_id)
+                group = client.lease_group(
+                    worker_id, wait_s=wait_s,
+                    max_runs=(MAX_GROUP_RUNS if max_runs is None else
+                              min(MAX_GROUP_RUNS, max_runs - completed)))
             except ServiceUnavailable:
                 unreachable += 1
                 if unreachable >= MAX_UNREACHABLE:
@@ -108,51 +127,69 @@ def run_worker(server: str, *, worker_id: str = "",
                 if exc.status == 429:
                     # Backpressure outlasted the retry budget: wait
                     # out the server's hint and keep going.
-                    sleep(max(poll_s, exc.retry_after_s))
+                    sleep(exc.retry_after_s)
                     continue
                 say(f"{worker_id}: lease rejected ({exc}), exiting")
                 break
             unreachable = 0
-            if grant is None:
-                now = time.monotonic()
+            if not group.grants:
                 if idle_since is None:
-                    idle_since = now
+                    idle_since = asked
                 if (max_idle_s is not None
-                        and now - idle_since >= max_idle_s):
+                        and time.monotonic() - idle_since >= max_idle_s):
                     say(f"{worker_id}: idle for {max_idle_s:g} s, "
                         f"exiting")
                     break
-                sleep(poll_s)
+                if group.draining:
+                    sleep(poll_s)   # it answers at once; do not spin
                 continue
             idle_since = None
-            run = RunSpec.from_dict(grant.run)
-            try:
-                outcome, = executor.map([run])
-            except Exception as exc:   # report, requeue, keep serving
-                say(f"{worker_id}: {run.run_id} failed: {exc}")
-                try:
-                    client.post_failure(
-                        grant.lease_id,
-                        f"{type(exc).__name__}: {exc}")
-                except (ServiceError, ServiceUnavailable):
-                    pass
-                continue
-            try:
-                ack = client.post_result(grant.lease_id,
-                                         outcome.record.to_dict(),
-                                         wall_s=outcome.wall_s)
-            except ServiceError as exc:
-                say(f"{worker_id}: result for {run.run_id} rejected "
-                    f"({exc})")
-                continue
-            except ServiceUnavailable:
+            posted, lost = _work_group(client, executor, group.grants,
+                                       worker_id, say)
+            completed += posted
+            if lost:
                 say(f"{worker_id}: server lost mid-result, exiting")
                 break
-            completed += 1
-            state = ("ok" if ack.accepted
-                     else "duplicate" if ack.duplicate else "dropped")
-            say(f"{worker_id}: {run.run_id} done in "
-                f"{outcome.wall_s:.2f} s ({state})")
     finally:
         executor.close()
     return completed
+
+
+def _work_group(client: ServiceClient, executor: BatchExecutor,
+                grants: Sequence[LeaseGrant], worker_id: str,
+                say: Callable[[str], None]) -> tuple[int, bool]:
+    """Evaluate one leased group through one ``map`` and post each
+    record as soon as it is done.  Returns how many results landed and
+    whether the server was lost (the rest of the group then simply
+    waits out its leases)."""
+    runs = [RunSpec.from_dict(grant.run) for grant in grants]
+    outcomes = executor.map(runs)
+    posted = 0
+    for index, (grant, run) in enumerate(zip(grants, runs)):
+        try:
+            outcome = next(outcomes)
+        except Exception as exc:   # report, requeue, keep serving
+            say(f"{worker_id}: {run.run_id} failed: {exc}")
+            try:
+                client.post_failure(grant.lease_id,
+                                    f"{type(exc).__name__}: {exc}")
+            except (ServiceError, ServiceUnavailable):
+                pass
+            # The failed map is spent: evaluate the rest afresh.
+            outcomes = executor.map(runs[index + 1:])
+            continue
+        try:
+            ack = client.post_result(grant.lease_id,
+                                     outcome.record.to_dict(),
+                                     wall_s=outcome.wall_s)
+        except ServiceError as exc:
+            say(f"{worker_id}: result for {run.run_id} rejected ({exc})")
+            continue
+        except ServiceUnavailable:
+            return posted, True
+        posted += 1
+        state = ("ok" if ack.accepted
+                 else "duplicate" if ack.duplicate else "dropped")
+        say(f"{worker_id}: {run.run_id} done in "
+            f"{outcome.wall_s:.2f} s ({state})")
+    return posted, False

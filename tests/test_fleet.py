@@ -2,6 +2,7 @@
 serial/parallel runner, determinism, the on-disk store, and reporting."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -10,13 +11,16 @@ from repro.fleet import (
     FleetResult,
     FleetStore,
     RunRecord,
+    RunSpec,
     SweepAxis,
     SweepSpec,
     fleet_summary,
     run_one,
     run_sweep,
 )
+from repro.fleet.sweep import pack_runs, unpack_runs
 from repro.scenarios import klagenfurt, skopje
+from test_compiled_scenario import _sampling_overrides
 
 AXIS = "campaign.handover_interruption_s"
 DENSITY = 2.0
@@ -124,6 +128,103 @@ def test_sweep_spec_json_round_trip():
     # through a real encode/decode, not just to_dict
     assert SweepSpec.from_dict(
         json.loads(json.dumps(sweep.to_dict()))) == sweep
+
+
+# ---------------------------------------------------------------------------
+# Compact run lists: bases + per-run overrides
+# ---------------------------------------------------------------------------
+
+def _round_trip(runs):
+    """Through pack_runs, real JSON, and unpack_runs."""
+    payload = json.loads(json.dumps(pack_runs(runs)))
+    back = unpack_runs(payload)
+    assert back == list(runs)
+    assert [run.spec_key() for run in back] == \
+        [run.spec_key() for run in runs]
+    return payload
+
+
+def _build_and_whole_overrides(spec):
+    """Build-layer edits and whole-value replacements, on top of every
+    sampling-layer override class ``test_compiled_scenario`` checks."""
+    return (
+        {"radio.sites.0.load": 0.9},
+        {"radio.shadowing_sigma_db": 4.5,
+         "population.density_threshold": 800.0},
+        {"campaign.peers.0.gateway": "replaced-gateway"},
+        # whole-tuple replacement with a new length
+        {"campaign.extra_load_anchors": [["A1", 0.1], ["B2", 0.2],
+                                         ["C3", 0.3]]},
+        {"campaign.extra_load_range": None},
+    )
+
+
+@pytest.mark.parametrize("base", [klagenfurt, skopje],
+                         ids=["klagenfurt", "skopje"])
+def test_pack_unpack_round_trips_every_override_class(base):
+    spec = base()
+    overrides = (_sampling_overrides(spec)
+                 + _build_and_whole_overrides(spec))
+    variants = [spec] + [spec.with_overrides(patch) for patch in overrides]
+    # An int where the base holds a float (``with_overrides`` would
+    # promote it): no override reproduces that leaf, so the enclosing
+    # layer or pair goes whole — and at the top level, only a base of
+    # its own can carry it.
+    sites = spec.radio.sites
+    variants.append(spec.override(radio=replace(
+        spec.radio, sites=(replace(sites[0], load=0),) + sites[1:])))
+    whole = ["radio.sites.0"]
+    anchors = spec.campaign.extra_load_anchors
+    if anchors:
+        variants.append(spec.override(campaign=replace(
+            spec.campaign,
+            extra_load_anchors=((anchors[0][0], 0),) + anchors[1:])))
+        whole.append("campaign.extra_load_anchors.0")
+    variants.append(spec.override(detour_circuity=2))
+    runs = [RunSpec(run_id=f"r{index}", scenario=variant, seed=42,
+                    density=2.0, variant=(("case", index),))
+            for index, variant in enumerate(variants)]
+    payload = _round_trip(runs)
+    packed = payload["runs"]
+    assert [run["base"] for run in packed] == [0] * (len(runs) - 1) + [1]
+    assert packed[0]["overrides"] == {}
+    assert packed[1 + overrides.index(
+        {"campaign.peers.0.air_load": 0.31,
+         "campaign.peers.0.sinr_db": 5.0})]["overrides"] == \
+        {"campaign.peers.0.air_load": 0.31, "campaign.peers.0.sinr_db": 5.0}
+    assert [list(run["overrides"]) for run in packed[-1 - len(whole):-1]] \
+        == [[path] for path in whole]
+
+
+def test_pack_unpack_round_trips_sweeps_and_shrinks_them():
+    sweep = small_sweep(
+        bases=(klagenfurt(), skopje()), seeds=(42, 43),
+        axes=(SweepAxis(AXIS, (30e-3, 60e-3)),
+              SweepAxis("campaign.peers.0.air_load", (0.31, 0.62)),
+              SweepAxis("radio.shadowing_sigma_db", (5.0, 7.0))))
+    runs = sweep.expand()
+    payload = _round_trip(runs)
+    assert [base["name"] for base in payload["bases"]] == \
+        ["klagenfurt", "skopje"]
+    full = len(json.dumps([run.to_dict() for run in runs]))
+    assert len(json.dumps(payload)) * 5 < full
+    # Rebuilt runs share their base's unpatched layers.
+    back = unpack_runs(payload)
+    assert back[1].scenario.nodes is back[0].scenario.nodes
+
+
+def test_unpack_reads_full_run_dicts_and_rejects_tampering():
+    runs = small_sweep().expand()
+    assert unpack_runs({"runs": [run.to_dict() for run in runs]}) == \
+        list(runs)
+    payload = pack_runs(runs)
+    payload["runs"][1]["overrides"][AXIS] = 45e-3
+    with pytest.raises(ValueError, match="spec_key"):
+        unpack_runs(payload)
+    payload = pack_runs(runs)
+    payload["runs"][0]["base"] = 7
+    with pytest.raises(ValueError, match="no base"):
+        unpack_runs(payload)
 
 
 # ---------------------------------------------------------------------------

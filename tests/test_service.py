@@ -16,22 +16,27 @@ from urllib.request import Request, urlopen
 import pytest
 
 import repro
+import repro.service.worker as worker_module
 from repro.__main__ import main
 from repro.fleet import (
+    BatchExecutor,
     FleetStore,
     ProgressEvent,
     RemoteExecutor,
     ResultCache,
+    RunSpec,
     SweepAxis,
     SweepSpec,
     run_sweep,
 )
+from repro.fleet.sweep import pack_runs, unpack_runs
 from repro.scenarios import klagenfurt
 from repro.service import (
     API_VERSION,
     BrokerBusy,
     ContractError,
     FleetBroker,
+    FleetJournal,
     ReproService,
     ServiceClient,
     ServiceError,
@@ -43,6 +48,7 @@ from repro.service.contracts import (
     FleetStatus,
     Health,
     LeaseGrant,
+    LeaseGroup,
     ResultAck,
     ResultSubmission,
     SubmitAck,
@@ -98,6 +104,12 @@ def test_contracts_round_trip_through_dicts():
                     wall_s=1.25),
         LeaseGrant(lease_id="fleet-0001:0:1", fleet_id="fleet-0001",
                    run={"run_id": "r0"}, ttl_s=60.0),
+        LeaseGroup(grants=(
+            LeaseGrant(lease_id="fleet-0001:0:1", fleet_id="fleet-0001",
+                       run={"run_id": "r0"}, ttl_s=60.0),
+            LeaseGrant(lease_id="fleet-0001:2:1", fleet_id="fleet-0001",
+                       run={"run_id": "r2"}, ttl_s=60.0))),
+        LeaseGroup(draining=True),
         ResultSubmission(lease_id="fleet-0001:0:1",
                          record={"run_id": "r0"}, wall_s=0.5),
         ResultSubmission(lease_id="fleet-0001:0:1", error="boom"),
@@ -306,6 +318,165 @@ def test_broker_rejects_nonpositive_ttl(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Group leases, long polls, oversized sweeps (fake clock, no sleeps)
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def group_sweep():
+    """Four runs, one build key: one group."""
+    return small_sweep(axes=(SweepAxis(AXIS, (30e-3, 45e-3, 60e-3,
+                                              75e-3)),))
+
+
+@pytest.fixture(scope="module")
+def group_records(group_sweep):
+    return {record.run_id: record
+            for record in run_sweep(group_sweep).records}
+
+
+def _run_ids(grants):
+    return [grant.run["run_id"] for grant in grants]
+
+
+def _blocked(monkeypatch, broker):
+    """An event set each time a caller blocks on the broker's
+    condition — so a test acts only once its waiter really waits."""
+    event = threading.Event()
+    wait = broker._cond.wait
+
+    def spy(timeout=None):
+        event.set()
+        return wait(timeout)
+    monkeypatch.setattr(broker._cond, "wait", spy)
+    return event
+
+
+def _in_thread(call):
+    results = []
+    thread = threading.Thread(target=lambda: results.append(call()),
+                              daemon=True)
+    thread.start()
+    return thread, results
+
+
+def test_broker_leases_whole_build_key_groups(broker):
+    sweep = small_sweep(seeds=(42, 43))   # two build keys, interleaved
+    runs = sweep.expand()
+    broker.submit_sweep(sweep)
+    first = broker.lease_group("w1", max_runs=8)
+    assert _run_ids(first) == [runs[0].run_id, runs[2].run_id]
+    assert len({grant.lease_id for grant in first}) == 2
+    # max_runs caps the group; the single-run lease is max_runs=1.
+    assert _run_ids(broker.lease_group("w2", max_runs=1)) == \
+        [runs[1].run_id]
+    assert broker.lease("w2").run["run_id"] == runs[3].run_id
+    assert broker.lease_group("w3", max_runs=8) == []
+    with pytest.raises(ValueError, match="max_runs"):
+        broker.lease_group("w3", max_runs=0)
+
+
+def test_group_worker_dying_requeues_only_its_unposted_runs(
+        broker, clock, group_sweep, group_records):
+    """The worker posts 1 of its 4-run group and dies: that run stays
+    done, the other 3 re-queue one TTL after its last post, and the
+    finisher evaluates exactly those 3."""
+    runs = group_sweep.expand()
+    ack = broker.submit_sweep(group_sweep)
+    group = broker.lease_group("doomed", max_runs=8)
+    assert _run_ids(group) == [run.run_id for run in runs]
+    clock.advance(6.0)
+    assert _post(broker, group[0], group_records[runs[0].run_id]).accepted
+    clock.advance(6.0)   # 12 s after the grant, 6 s after the post
+    assert broker.expire_leases() == 0
+    clock.advance(4.5)   # 10.5 s after the post: past the 10 s TTL
+    assert broker.expire_leases() == 3
+    finisher = broker.lease_group("finisher", max_runs=8)
+    assert _run_ids(finisher) == [run.run_id for run in runs[1:]]
+    evaluated = BatchExecutor().map(
+        [RunSpec.from_dict(grant.run) for grant in finisher])
+    for grant, outcome in zip(finisher, evaluated):
+        assert _post(broker, grant, outcome.record).accepted
+    status = broker.status(ack.fleet_id)
+    assert status.complete and status.done == 4 and status.workers == 2
+    for run in runs:
+        assert broker.record(ack.fleet_id, run.run_id) == \
+            group_records[run.run_id]
+
+
+def test_waiting_lease_wakes_on_submission_and_on_drain(
+        monkeypatch, broker, sweep, runs):
+    blocked = _blocked(monkeypatch, broker)
+    thread, granted = _in_thread(
+        lambda: broker.lease_group("w1", max_runs=8, wait_s=60.0))
+    assert blocked.wait(10.0)
+    blocked.clear()
+    broker.submit_sweep(sweep)
+    thread.join(10.0)
+    assert not thread.is_alive()
+    assert _run_ids(granted[0]) == [run.run_id for run in runs]
+    # Nothing left: the next waiter blocks until drain wakes it.
+    thread, granted = _in_thread(
+        lambda: broker.lease("w2", wait_s=60.0))
+    assert blocked.wait(10.0)
+    broker.drain()
+    thread.join(10.0)
+    assert not thread.is_alive() and granted == [None]
+
+
+def test_waiting_slots_return_when_their_slot_lands(
+        monkeypatch, broker, sweep, serial_records):
+    ack = broker.submit_sweep(sweep)
+    grant = broker.lease("w1")
+    blocked = _blocked(monkeypatch, broker)
+    thread, answers = _in_thread(
+        lambda: broker.slots(ack.fleet_id, since=0, wait_s=60.0))
+    assert blocked.wait(10.0)
+    _post(broker, grant, serial_records[grant.run["run_id"]])
+    thread.join(10.0)
+    assert not thread.is_alive()
+    slots, complete = answers[0]
+    assert slots[0]["state"] == "done" and not complete
+
+
+def test_giant_sweep_is_refused_before_it_is_expanded(
+        tmp_path, clock, monkeypatch):
+    def expand(self):
+        raise AssertionError("a refused sweep was expanded")
+    monkeypatch.setattr(SweepSpec, "expand", expand)
+    giant = small_sweep(axes=tuple(
+        SweepAxis(AXIS, tuple(value * 1e-3 for value in range(10)),
+                  name=f"axis-{index}") for index in range(10)))
+    broker = FleetBroker(tmp_path / "fleets", clock=clock,
+                         max_pending=100)
+    with pytest.raises(BrokerBusy, match="queue full"):
+        broker.submit_sweep(giant)
+    service = ReproService(tmp_path / "root", port=0, max_pending=100)
+    service.start()
+    try:
+        with pytest.raises(ServiceError) as exc_info:
+            ServiceClient(service.url).submit_sweep(giant.to_dict())
+        assert exc_info.value.status == 429
+    finally:
+        service.stop()
+
+
+def test_recovery_reads_a_legacy_full_runs_submit_entry(tmp_path, runs):
+    journal_dir = tmp_path / "journal"
+    FleetJournal(journal_dir).append({
+        "type": "submit", "fleet_id": "fleet-0001", "submission_key": "",
+        "runs": [run.to_dict() for run in runs]})
+    broker = FleetBroker(tmp_path / "fleets",
+                         journal=FleetJournal(journal_dir))
+    assert broker.recover()["fleets"] == 1
+    assert _run_ids(broker.lease_group("w1", max_runs=8)) == \
+        [run.run_id for run in runs]
+    # Recovery compacted the journal: the entry is compact now.
+    entry, = FleetJournal(journal_dir).iter_types("submit")
+    assert len(entry["bases"]) == 1
+    assert unpack_runs(entry) == list(runs)
+
+
+# ---------------------------------------------------------------------------
 # HTTP end to end: serve + client + workers on localhost
 # ---------------------------------------------------------------------------
 
@@ -476,6 +647,51 @@ def test_remote_executor_through_run_sweep(
     # The run-list fleet left a lightweight job manifest server-side.
     job_files = list(service.broker.root.glob(f"*/{RUNS_JOB_MANIFEST}"))
     assert job_files
+
+
+def test_tampered_compact_submission_is_a_400(client, runs):
+    payload = pack_runs(runs)
+    payload["runs"][1]["overrides"][AXIS] = 45e-3
+    with pytest.raises(ServiceError) as exc_info:
+        client.submit_runs(payload)
+    assert exc_info.value.status == 400
+    assert "spec_key" in exc_info.value.message
+
+
+@pytest.fixture(scope="module")
+def two_key_sweep():
+    return small_sweep(seeds=(42, 43),
+                       axes=(SweepAxis(AXIS, (30e-3, 45e-3, 60e-3)),))
+
+
+@pytest.fixture(scope="module")
+def two_key_serial(two_key_sweep):
+    return run_sweep(two_key_sweep, executor="serial")
+
+
+@pytest.mark.parametrize("group_cap", [1, 2, 256])
+def test_remote_backend_matches_serial_at_every_group_size(
+        tmp_path, monkeypatch, two_key_sweep, two_key_serial, group_cap):
+    """Two build keys of three runs each, drained by two workers that
+    lease at most ``group_cap`` runs at a time."""
+    monkeypatch.setattr(worker_module, "MAX_GROUP_RUNS", group_cap)
+    service = ReproService(tmp_path / "root", port=0)
+    service.start()
+    try:
+        workers = [_start_worker(service.url, worker_id=f"g{index}")
+                   for index in range(2)]
+        result = run_sweep(two_key_sweep,
+                           executor=RemoteExecutor(server=service.url))
+        for worker in workers:
+            worker.join(timeout=30.0)
+        assert result.cached_count == 0
+        assert [r.to_dict() for r in result.records] == \
+            [r.to_dict() for r in two_key_serial.records]
+        sizes = [len(entry["lease_ids"])
+                 for entry in service.journal.iter_types("lease")]
+        assert sum(sizes) == 6 and max(sizes) == min(group_cap, 3)
+    finally:
+        service.stop()
 
 
 # ---------------------------------------------------------------------------
