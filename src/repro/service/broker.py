@@ -19,7 +19,10 @@ Fault model (the reason leases and the journal exist):
 * A worker that dies mid-run simply never posts its result.  Its
   lease expires ``lease_ttl_s`` after the grant or after its group's
   last posted result, whichever is later, and the run returns to the
-  queue — the next lease from any worker picks it up.
+  queue — the next lease from any worker picks it up.  A grant is
+  sized to the asking worker's fair share of the outstanding runs, so
+  idle workers split a large group and a dead one strands only its
+  share.
 * Results are deduplicated by content identity: a run is *done* the
   first time a verifying record lands, and every later submission for
   it (a raced worker, a zombie finishing after its lease expired, a
@@ -135,14 +138,14 @@ class _Fleet:
     def __init__(self, fleet_id: str, slots: list[_Slot],
                  store: FleetStore, sweep: Optional[SweepSpec],
                  created: float,
-                 packed: Optional[list[dict[str, Any]]] = None) -> None:
+                 packed: Optional[dict[str, Any]] = None) -> None:
         self.fleet_id = fleet_id
         self.slots = slots
         self.store = store
         self.sweep = sweep
-        # A run-list fleet's compact runs (``pack_runs``): its journal
-        # entry holds these plus each base once, not a spec per run.
-        self.packed = packed or []
+        # A run-list fleet's runs as a ``pack_runs`` payload, journaled
+        # as it is: each base once, not a spec per run.
+        self.packed = packed or {}
         self.created = created
         self.finished = 0.0
         self.complete = False
@@ -161,14 +164,8 @@ class _Fleet:
                                  "submission_key": self.submission_key}
         if self.sweep is not None:
             entry["sweep"] = self.sweep.to_dict()
-            return entry
-        # Each base is the spec of the first run packed against it.
-        bases: dict[int, Any] = {}
-        for slot, run in zip(self.slots, self.packed):
-            bases.setdefault(run["base"], slot.run.scenario)
-        entry["bases"] = [bases[index].to_dict()
-                          for index in range(len(bases))]
-        entry["runs"] = self.packed
+        else:
+            entry.update(self.packed)
         return entry
 
 
@@ -187,6 +184,7 @@ class FleetBroker:
     _counter: int = guarded_by("_cond")
     _submissions: dict[str, str] = guarded_by("_cond")
     _last_grant: dict[str, float] = guarded_by("_cond")
+    _waiting: dict[str, int] = guarded_by("_cond")
     _draining: bool = guarded_by("_cond", writes_only=True)
     requeues: int = guarded_by("_cond", writes_only=True)
     recovered_fleets: int = guarded_by("_cond", writes_only=True)
@@ -231,6 +229,7 @@ class FleetBroker:
         self._counter = 0
         self._submissions = {}
         self._last_grant = {}
+        self._waiting = {}         # worker id -> lease calls in flight
         self._draining = False
 
     def _journal(self, entry: dict[str, Any]) -> None:  # lint: holds(_cond)
@@ -256,17 +255,24 @@ class FleetBroker:
                             submission_key)
 
     def submit_runs(self, runs: Sequence[RunSpec], *,
-                    submission_key: str = "") -> SubmitAck:
+                    submission_key: str = "",
+                    packed: Optional[dict[str, Any]] = None
+                    ) -> SubmitAck:
         """Queue already-expanded runs (the :class:`RemoteExecutor`
         path).  Records persist per-run; without a sweep to re-expand
-        there is no manifest, just a lightweight job file."""
+        there is no manifest, just a lightweight job file.
+
+        ``packed`` is the payload ``runs`` were unpacked from (the
+        server passes what it received); the journal stores it as it
+        is.  Without it the runs are packed here."""
         if not runs:
             raise ValueError("fleet needs at least one run")
         ids = [run.run_id for run in runs]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate run ids in submitted fleet")
         return self._submit(list(runs), None, submission_key,
-                            pack_runs(runs)["runs"])
+                            packed if packed is not None
+                            else pack_runs(runs))
 
     def _check_capacity(self, incoming: int) -> None:  # lint: holds(_cond)
         """Refuse the submission when it would exceed a limit.  Caller
@@ -292,7 +298,7 @@ class FleetBroker:
 
     def _submit(self, runs: list[RunSpec], sweep: Optional[SweepSpec],
                 submission_key: str,
-                packed: Optional[list[dict[str, Any]]] = None
+                packed: Optional[dict[str, Any]] = None
                 ) -> SubmitAck:
         with self._cond:
             if submission_key and submission_key in self._submissions:
@@ -364,8 +370,10 @@ class FleetBroker:
                     wait_s: float = 0.0) -> list[LeaseGrant]:
         """Check out to ``worker_id`` the next build-key group: the
         first pending run in submission order plus every later pending
-        run of its fleet with the same build key, at most ``max_runs``
-        in all, one lease id each.
+        run of its fleet with the same build key, one lease id each.
+        The grant holds at most ``max_runs`` runs and at most the
+        worker's fair share (:meth:`_fair_share`), so workers that are
+        waiting at the same time split a large group.
 
         Expired leases are swept first, so a dead worker's runs are
         offered again here.  With nothing pending, waits up to
@@ -379,16 +387,22 @@ class FleetBroker:
             raise ValueError("max_runs must be >= 1")
         deadline = time.monotonic() + wait_s
         with self._cond:
-            while not self._draining:
-                now = self.clock()
-                self._expire(now)
-                grants = self._grant(worker_id, max_runs, now)
-                if grants:
-                    return grants
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cond.wait(min(remaining, 0.5))
+            self._waiting[worker_id] = self._waiting.get(worker_id, 0) + 1
+            try:
+                while not self._draining:
+                    now = self.clock()
+                    self._expire(now)
+                    grants = self._grant(worker_id, max_runs, now)
+                    if grants:
+                        return grants
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        break
+                    self._cond.wait(min(remaining, 0.5))
+            finally:
+                calls = self._waiting.pop(worker_id) - 1
+                if calls:
+                    self._waiting[worker_id] = calls
         return []
 
     def _grant(self, worker_id: str,  # lint: holds(_cond)
@@ -403,6 +417,7 @@ class FleetBroker:
             if not pending:
                 continue
             self._check_lease_rate(worker_id, now)
+            max_runs = min(max_runs, self._fair_share(worker_id))
             key = fleet.slots[pending[0]].run.build_key()
             members = [pending[0]]
             for index in pending[1:]:
@@ -431,6 +446,30 @@ class FleetBroker:
                            "worker_id": worker_id})
             return grants
         return []
+
+    def _fair_share(self, worker_id: str) -> int:  # lint: holds(_cond)
+        """How many runs one grant to ``worker_id`` may hold: the
+        outstanding (pending or leased) runs split evenly over the
+        workers the broker can see — those waiting in a lease call,
+        those holding leases, and the asker — less what the asker
+        already holds, and at least one.  A lone worker gets a whole
+        group; two idle workers split a one-key fleet.  Caller holds
+        the lock."""
+        live = set(self._waiting)
+        live.add(worker_id)
+        outstanding = held = 0
+        for fleet in self._fleets.values():
+            if fleet.complete:
+                continue
+            for slot in fleet.slots:
+                if slot.state == PENDING:
+                    outstanding += 1
+                elif slot.state == LEASED:
+                    outstanding += 1
+                    live.add(slot.worker_id)
+                    if slot.worker_id == worker_id:
+                        held += 1
+        return max(1, -(-outstanding // len(live)) - held)
 
     def _check_lease_rate(self, worker_id: str,  # lint: holds(_cond)
                           now: float) -> None:
@@ -705,7 +744,12 @@ class FleetBroker:
             return None
         if not runs:
             return None
-        packed = None if sweep is not None else pack_runs(runs)["runs"]
+        packed = None
+        if sweep is None:
+            # A compact entry is kept as it is; an older full-runs one
+            # is packed, so the next compaction writes it compact.
+            packed = ({"bases": entry["bases"], "runs": entry["runs"]}
+                      if entry.get("bases") else pack_runs(runs))
         store = FleetStore(self.root / fleet_id)
         if sweep is not None and not store.manifest_path.exists():
             # The crash landed between the journal append and the
@@ -877,6 +921,8 @@ class FleetBroker:
         flag — the surface ``RemoteExecutor`` streams from.  With
         ``wait_s``, first waits (long poll) until slot ``since`` is
         done or the wait times out."""
+        if since < 0:
+            raise ValueError("since must be >= 0")
         deadline = time.monotonic() + wait_s
         with self._cond:
             fleet = self._fleet(fleet_id)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import uuid
+from http.client import HTTPException
 from typing import Any, Callable, Iterator, Mapping, Optional, Union
 from urllib.error import HTTPError, URLError
 from urllib.request import Request, urlopen
@@ -119,6 +120,11 @@ class ServiceClient:
         except URLError as exc:
             raise ServiceUnavailable(
                 f"cannot reach {self.base_url}: {exc.reason}") from None
+        except (HTTPException, OSError) as exc:
+            # The connection died mid-request — a server killed while
+            # it held a long poll, say.  As transient as a refusal.
+            raise ServiceUnavailable(
+                f"lost {self.base_url}: {exc!r}") from None
 
     def _attempt(self, method: str, path: str, body: Optional[bytes],
                  wait_s: float) -> Any:
@@ -285,7 +291,8 @@ class ServiceClient:
     def lease_group(self, worker_id: str, *, max_runs: int,
                     wait_s: float = 0.0) -> LeaseGroup:
         """Check out up to ``max_runs`` pending runs of the next
-        build-key group, one lease per run; an empty group means no
+        build-key group (the broker may grant fewer, so idle workers
+        share a group), one lease per run; an empty group means no
         work arrived within ``wait_s`` (a long poll the server caps).
         Safe to retry, like :meth:`lease`."""
         return LeaseGroup.from_dict(self._request(

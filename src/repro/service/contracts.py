@@ -222,7 +222,8 @@ class LeaseGrant:
 @dataclass(frozen=True)
 class LeaseGroup:
     """``POST /lease`` response to a request carrying ``max_runs``:
-    up to that many pending runs of one build-key group, one
+    up to that many pending runs of one build-key group (and no more
+    than the worker's fair share of the outstanding runs), one
     :class:`LeaseGrant` (and lease id) per run.
 
     Each result posted against one of the grants renews the deadlines

@@ -290,8 +290,11 @@ class ReproService:
                 ack = self.broker.submit_sweep(sweep,
                                                submission_key=key)
             elif "runs" in body:
-                ack = self.broker.submit_runs(unpack_runs(body),
-                                              submission_key=key)
+                packed = {"bases": body.get("bases") or [],
+                          "runs": body["runs"]}
+                ack = self.broker.submit_runs(unpack_runs(packed),
+                                              submission_key=key,
+                                              packed=packed)
             else:
                 raise _BadRequest(
                     "fleet submission needs a 'sweep' or 'runs' key")
@@ -456,6 +459,8 @@ class _Handler(BaseHTTPRequestHandler):
                 except ValueError:
                     raise _BadRequest("since must be an integer") \
                         from None
+                if since < 0:
+                    raise _BadRequest("since must be >= 0")
                 wait_s = service.long_poll_s(
                     query.get("wait_s", ["0"])[0])
                 slots, complete = service.broker.slots(

@@ -48,9 +48,13 @@ __all__ = ["run_worker"]
 #: worker gives up (each one already spans ``max_retries`` attempts).
 MAX_UNREACHABLE = 5
 
-#: Most runs one lease may check out: a bound on what one worker holds
-#: (and what waits out a lease if it dies).
+#: Most runs one lease may ask for; the broker further caps a grant
+#: at the worker's fair share of the outstanding runs.
 MAX_GROUP_RUNS = 256
+
+#: Pause before asking again when the server is unreachable or
+#: draining (both answer at once, so the loop must not spin).
+RETRY_PAUSE_S = 0.5
 
 
 def run_worker(server: str, *, worker_id: str = "",
@@ -121,7 +125,7 @@ def run_worker(server: str, *, worker_id: str = "",
                 if unreachable >= MAX_UNREACHABLE:
                     say(f"{worker_id}: server unreachable, exiting")
                     break
-                sleep(poll_s)
+                sleep(RETRY_PAUSE_S)
                 continue
             except ServiceError as exc:
                 if exc.status == 429:
@@ -141,7 +145,7 @@ def run_worker(server: str, *, worker_id: str = "",
                         f"exiting")
                     break
                 if group.draining:
-                    sleep(poll_s)   # it answers at once; do not spin
+                    sleep(RETRY_PAUSE_S)
                 continue
             idle_since = None
             posted, lost = _work_group(client, executor, group.grants,

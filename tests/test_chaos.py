@@ -171,8 +171,9 @@ def test_worker_killed_posting_its_result_stays_bit_identical(
 
         assert status.done == len(runs)
         assert status.workers == 1        # only the healthy one landed
-        # The doomed worker held the whole build-key group; none of it
-        # landed, so all of it went back to the queue.
+        # The doomed worker leased alone, so its fair share was the
+        # whole build-key group; none of it landed, so all of it went
+        # back to the queue.
         assert service.broker.requeues == len(runs)
         _assert_identical(client, ack.fleet_id, runs, serial_records)
     finally:

@@ -375,6 +375,48 @@ def test_broker_leases_whole_build_key_groups(broker):
         broker.lease_group("w3", max_runs=0)
 
 
+def _waiters(broker, count, timeout_s=10.0):
+    """Block until ``count`` workers wait in a lease call."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        with broker._cond:
+            if sum(broker._waiting.values()) == count:
+                return
+        time.sleep(0.01)
+    raise AssertionError(f"{count} lease calls never waited")
+
+
+def test_waiting_workers_split_a_one_key_group(broker, group_sweep):
+    """Two idle workers and one 4-run build-key group: each gets its
+    fair share, 2 runs, not one worker the whole group."""
+    calls = [_in_thread(lambda worker=worker: broker.lease_group(
+        worker, max_runs=8, wait_s=60.0)) for worker in ("w1", "w2")]
+    _waiters(broker, 2)
+    broker.submit_sweep(group_sweep)
+    for thread, _ in calls:
+        thread.join(10.0)
+        assert not thread.is_alive()
+    granted = [_run_ids(answers[0]) for _, answers in calls]
+    assert [len(ids) for ids in granted] == [2, 2]
+    assert sorted(granted[0] + granted[1]) == \
+        sorted(run.run_id for run in group_sweep.expand())
+
+
+def test_fair_share_counts_workers_holding_leases(broker, clock,
+                                                 group_sweep):
+    """A worker holding leases counts as live: a newcomer gets half of
+    what is outstanding, and a dead holder strands only its share."""
+    runs = group_sweep.expand()
+    broker.submit_sweep(group_sweep)
+    assert len(broker.lease_group("w1", max_runs=1)) == 1
+    assert _run_ids(broker.lease_group("w2", max_runs=8)) == \
+        [run.run_id for run in runs[1:3]]
+    clock.advance(10.5)          # both die: every lease expires
+    assert broker.expire_leases() == 3
+    # Alone again, a worker gets the whole group back.
+    assert len(broker.lease_group("w3", max_runs=8)) == 4
+
+
 def test_group_worker_dying_requeues_only_its_unposted_runs(
         broker, clock, group_sweep, group_records):
     """The worker posts 1 of its 4-run group and dies: that run stays
@@ -658,6 +700,28 @@ def test_tampered_compact_submission_is_a_400(client, runs):
     assert "spec_key" in exc_info.value.message
 
 
+def test_compact_submission_is_journaled_as_received(tmp_path, runs):
+    service = ReproService(tmp_path / "root", port=0)
+    service.start()
+    try:
+        payload = json.loads(json.dumps(pack_runs(runs)))
+        ServiceClient(service.url).submit_runs(payload)
+        entry, = service.journal.iter_types("submit")
+        assert entry["bases"] == payload["bases"]
+        assert entry["runs"] == payload["runs"]
+    finally:
+        service.stop()
+
+
+def test_records_since_must_not_be_negative(completed_fleet, client):
+    fleet_id, status = completed_fleet
+    with pytest.raises(ServiceError) as exc_info:
+        client.slots(fleet_id, since=-100)
+    assert exc_info.value.status == 400
+    slots, complete = client.slots(fleet_id, since=0)
+    assert len(slots) == status.total and complete
+
+
 @pytest.fixture(scope="module")
 def two_key_sweep():
     return small_sweep(seeds=(42, 43),
@@ -690,6 +754,30 @@ def test_remote_backend_matches_serial_at_every_group_size(
         sizes = [len(entry["lease_ids"])
                  for entry in service.journal.iter_types("lease")]
         assert sum(sizes) == 6 and max(sizes) == min(group_cap, 3)
+    finally:
+        service.stop()
+
+
+def test_two_workers_share_a_one_key_fleet(tmp_path, group_sweep,
+                                           group_records):
+    """One build key, two idle workers: both get runs, and the
+    records still match serial byte for byte."""
+    service = ReproService(tmp_path / "root", port=0)
+    service.start()
+    try:
+        workers = [_start_worker(service.url, worker_id=f"k{index}",
+                                 poll_s=5.0, max_idle_s=2.0)
+                   for index in range(2)]
+        _waiters(service.broker, 2)
+        client = ServiceClient(service.url)
+        ack = client.submit_sweep(group_sweep.to_dict())
+        status = _wait_complete(client, ack.fleet_id)
+        for worker in workers:
+            worker.join(timeout=30.0)
+        assert status.workers == 2
+        for run in group_sweep.expand():
+            assert client.record(ack.fleet_id, run.run_id) == \
+                group_records[run.run_id].to_dict()
     finally:
         service.stop()
 
@@ -946,6 +1034,50 @@ def test_worker_survives_429_backpressure(tmp_path, runs,
         assert completed == 0
     finally:
         service.stop()
+
+
+def test_a_connection_dropped_mid_request_is_unavailable():
+    """A server that dies holding a request (a long poll, say) closes
+    the socket without an answer: transient, not a crash."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+
+    def hang_up():
+        for _ in range(2):
+            conn, _ = listener.accept()
+            conn.recv(4096)
+            conn.close()
+    thread = threading.Thread(target=hang_up, daemon=True)
+    thread.start()
+    client = ServiceClient(f"http://127.0.0.1:{port}")
+    try:
+        with pytest.raises(ServiceUnavailable):
+            client.health()
+        with pytest.raises(ServiceUnavailable):
+            client.lease_group("w1", max_runs=4, wait_s=1.0)
+    finally:
+        thread.join(5.0)
+        listener.close()
+
+
+def test_worker_pauses_briefly_when_server_drains_or_vanishes(
+        monkeypatch):
+    """The long-poll wait (``poll_s``) is not the retry pause: a
+    draining or unreachable server is asked again after
+    ``RETRY_PAUSE_S``, and the worker exits after ``MAX_UNREACHABLE``
+    failed leases."""
+    answers = [LeaseGroup(draining=True)] * 2
+    def lease_group(self, worker_id, *, max_runs, wait_s=0.0):
+        if answers:
+            return answers.pop()
+        raise ServiceUnavailable("connection refused")
+    monkeypatch.setattr(ServiceClient, "health", lambda self: None)
+    monkeypatch.setattr(ServiceClient, "lease_group", lease_group)
+    slept = []
+    assert run_worker("http://127.0.0.1:9", poll_s=30.0,
+                      sleep=slept.append) == 0
+    assert slept == [worker_module.RETRY_PAUSE_S] * (
+        2 + worker_module.MAX_UNREACHABLE - 1)
 
 
 def test_cli_worker_reports_unreachable_server(capsys):
