@@ -349,7 +349,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # A malformed --server URL surfaces from urllib as a bare
+        # A malformed --server URL surfaces from the client as a bare
         # ValueError; fail with a message, not a traceback.
         print(f"error: invalid server URL {args.server!r}: {exc}",
               file=sys.stderr)

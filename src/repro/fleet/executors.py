@@ -405,8 +405,9 @@ class RemoteExecutor:
                 next_index += 1
 
     def close(self, *, cancel: bool = False) -> None:
-        # Leases self-expire server-side; nothing to release here.
-        pass
+        # Leases self-expire server-side; only the kept-alive
+        # connection is released here.
+        self._client.close()
 
     def __enter__(self) -> "RemoteExecutor":
         return self

@@ -13,12 +13,14 @@ layer runs in one process tree, this package runs across machines:
 * :func:`run_worker` / ``python -m repro worker`` — a pull-loop
   worker leasing whole build-key groups of expanded
   :class:`~repro.fleet.sweep.RunSpec`\\ s (one long-polled round trip
-  per group) and evaluating each group through the compiled/batch
-  path.  Dead workers are tolerated by lease expiry + content-identity
-  dedup: their runs simply return to the queue, and no run is ever
+  per group), evaluating each group through the compiled/batch path
+  and posting its results back in two batched requests.  Dead
+  workers are tolerated by lease expiry + content-identity dedup:
+  their unacked runs simply return to the queue, and no run is ever
   counted twice.
-* :class:`ServiceClient` — typed ``urllib`` access to every route,
-  also the transport behind the ``remote`` executor backend
+* :class:`ServiceClient` — typed access to every route over one
+  kept-alive ``http.client`` connection per thread, also the
+  transport behind the ``remote`` executor backend
   (:class:`repro.fleet.executors.RemoteExecutor`).
 * :mod:`~repro.service.contracts` — the versioned request/response
   dataclasses every payload round-trips through.

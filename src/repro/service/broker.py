@@ -4,8 +4,9 @@ One broker instance backs one ``repro serve`` process.  Clients submit
 fleets (a :class:`~repro.fleet.sweep.SweepSpec`, or an already-expanded
 run list from :class:`~repro.fleet.executors.RemoteExecutor`); workers
 lease whole build-key groups — every pending run of a fleet that
-shares one compiled world, one lease id per run — and post each
-:class:`~repro.fleet.sweep.RunRecord` back as it finishes.  Queue
+shares one compiled world, one lease id per run — and post the
+:class:`~repro.fleet.sweep.RunRecord` results back, one or a batch at a
+time (:meth:`FleetBroker.submit_results`).  Queue
 state lives in memory guarded by one lock — the durable artifacts
 are the fleet directories under ``root`` (written through
 :class:`~repro.fleet.store.FleetStore`, so a completed service fleet
@@ -232,12 +233,12 @@ class FleetBroker:
         self._waiting = {}         # worker id -> lease calls in flight
         self._draining = False
 
-    def _journal(self, entry: dict[str, Any]) -> None:  # lint: holds(_cond)
-        """Append one entry when durability is on.  Caller holds the
-        lock — journal writes must be ordered with the state changes
-        they record."""
+    def _journal(self, *entries: dict[str, Any]) -> None:  # lint: holds(_cond)
+        """Append entries, in one write, when durability is on.  Caller
+        holds the lock — journal writes must be ordered with the state
+        changes they record."""
         if self.journal is not None:
-            self.journal.append(entry)
+            self.journal.append(*entries)
 
     # -- submission -------------------------------------------------------
 
@@ -518,7 +519,21 @@ class FleetBroker:
     # -- results ----------------------------------------------------------
 
     def submit_result(self, submission: ResultSubmission) -> ResultAck:
-        """Land one worker's result (or failure) for a leased run.
+        """Land one worker's result (or failure) for a leased run —
+        :meth:`submit_results` with one item, its refusal raised."""
+        outcome, = self.submit_results([submission])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def submit_results(self, submissions: Sequence[ResultSubmission]
+                       ) -> list[Union[ResultAck, Exception]]:
+        """Land a batch of worker results (or failures), one outcome
+        per item in order: its :class:`ResultAck`, or the refusal —
+        :class:`LookupError` for an unknown lease,
+        :class:`ContractError` for a record that does not parse,
+        :class:`ValueError` for one that fails content verification.
+        A refused item lands nothing; the others still land.
 
         Dedup contract: the first *verifying* record wins; anything
         after it — including a zombie worker finishing a run that was
@@ -526,70 +541,90 @@ class FleetBroker:
         an error, and changes nothing.  A post against a run's current
         lease renews the deadlines of its group's runs still leased:
         the worker holding them is alive and working through them.
+
+        The batch lands under one lock hold: every accepted record is
+        verified, cached and stored on its own, their journal acks go
+        out in one write, and waiters are woken once.
         """
+        outcomes: list[Union[ResultAck, Exception]] = []
+        landed: list[tuple[_Fleet, _Slot, int]] = []
         with self._cond:
-            # Lease resolution reads _fleets, so it must happen inside
-            # the lock — resolving first and locking after raced with
-            # concurrent submissions mutating the fleet table.
-            fleet, index, attempt = self._parse_lease(submission.lease_id)
-            slot = fleet.slots[index]
-            if slot.state == LEASED and attempt == slot.attempt:
-                deadline = self.clock() + self.lease_ttl_s
-                for other in fleet.slots:
-                    if other.state == LEASED and other.group == slot.group:
-                        other.deadline = deadline
-            if submission.error:
-                if slot.state == LEASED:
-                    # Fast requeue: don't wait out the lease for a run
-                    # the worker already knows it failed.
-                    slot.state = PENDING
-                    fleet.events.append({
-                        "event": "requeued",
-                        "fleet_id": fleet.fleet_id,
-                        "run_id": slot.run.run_id,
-                        "worker_id": slot.worker_id,
-                        "attempt": slot.attempt,
-                        "error": submission.error,
-                    })
-                    self._cond.notify_all()
-                    return ResultAck(accepted=False, requeued=True)
-                return ResultAck(accepted=False,
-                                 duplicate=slot.state == DONE)
-            if slot.state == DONE:
-                return ResultAck(accepted=False, duplicate=True)
-            assert submission.record is not None  # contract-validated
-            try:
-                record = RunRecord.from_dict(submission.record)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ContractError(
-                    f"result record does not parse: {exc}") from None
-            if not record_matches_spec(record, slot.run):
-                raise ValueError(
-                    f"record for {slot.run.run_id} does not verify "
-                    f"against the leased run's content identity")
-            slot.record = record
-            slot.state = DONE
-            slot.wall_s = submission.wall_s
-            slot.cached = False
-            fleet.workers.add(slot.worker_id)
-            if self.cache is not None:
-                self.cache.put(slot.run.spec_key(), record)
-            fleet.store.write_record(record)
-            self._journal({"type": "ack",
-                           "fleet_id": fleet.fleet_id,
-                           "run_id": slot.run.run_id,
-                           "worker_id": slot.worker_id,
-                           "wall_s": slot.wall_s,
-                           "cached": slot.cached})
-            # The named crash window: the journal (and the record) are
-            # durable but the worker has not seen the ack yet.  A fault
-            # schedule crashes here; the retried submission dedups.
-            self._fault("broker.ack")
-            self._emit_run(fleet, fleet.done_count(), slot)
-            if fleet.done_count() == len(fleet.slots):
-                self._finalize(fleet)
+            for submission in submissions:
+                try:
+                    outcomes.append(self._land(submission, landed))
+                except (LookupError, ValueError) as exc:
+                    outcomes.append(exc)
+            if landed:
+                self._journal(*(
+                    {"type": "ack", "fleet_id": fleet.fleet_id,
+                     "run_id": slot.run.run_id,
+                     "worker_id": slot.worker_id,
+                     "wall_s": slot.wall_s, "cached": slot.cached}
+                    for fleet, slot, _ in landed))
+            for fleet, slot, done in landed:
+                # The named crash window, once per run: the journal
+                # (and the record) are durable but the worker has not
+                # seen the ack yet.  A fault schedule crashes here; the
+                # retried submission dedups.
+                self._fault("broker.ack")
+                self._emit_run(fleet, done, slot)
+                if done == len(fleet.slots):
+                    self._finalize(fleet)
             self._cond.notify_all()
-            return ResultAck(accepted=True)
+        return outcomes
+
+    def _land(self, submission: ResultSubmission,  # lint: holds(_cond)
+              landed: list[tuple[_Fleet, _Slot, int]]) -> ResultAck:
+        """One item of :meth:`submit_results`.  An accepted record is
+        appended to ``landed`` with the fleet's done count after it;
+        the caller journals and announces it.  Caller holds the lock."""
+        # Lease resolution reads _fleets, so it must happen inside the
+        # lock — resolving first and locking after raced with
+        # concurrent submissions mutating the fleet table.
+        fleet, index, attempt = self._parse_lease(submission.lease_id)
+        slot = fleet.slots[index]
+        if slot.state == LEASED and attempt == slot.attempt:
+            deadline = self.clock() + self.lease_ttl_s
+            for other in fleet.slots:
+                if other.state == LEASED and other.group == slot.group:
+                    other.deadline = deadline
+        if submission.error:
+            if slot.state == LEASED:
+                # Fast requeue: don't wait out the lease for a run the
+                # worker already knows it failed.
+                slot.state = PENDING
+                fleet.events.append({
+                    "event": "requeued",
+                    "fleet_id": fleet.fleet_id,
+                    "run_id": slot.run.run_id,
+                    "worker_id": slot.worker_id,
+                    "attempt": slot.attempt,
+                    "error": submission.error,
+                })
+                return ResultAck(accepted=False, requeued=True)
+            return ResultAck(accepted=False, duplicate=slot.state == DONE)
+        if slot.state == DONE:
+            return ResultAck(accepted=False, duplicate=True)
+        assert submission.record is not None  # contract-validated
+        try:
+            record = RunRecord.from_dict(submission.record)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ContractError(
+                f"result record does not parse: {exc}") from None
+        if not record_matches_spec(record, slot.run):
+            raise ValueError(
+                f"record for {slot.run.run_id} does not verify "
+                f"against the leased run's content identity")
+        slot.record = record
+        slot.state = DONE
+        slot.wall_s = submission.wall_s
+        slot.cached = False
+        fleet.workers.add(slot.worker_id)
+        if self.cache is not None:
+            self.cache.put(slot.run.spec_key(), record)
+        fleet.store.write_record(record)
+        landed.append((fleet, slot, fleet.done_count()))
+        return ResultAck(accepted=True)
 
     def _parse_lease(  # lint: holds(_cond)
             self, lease_id: str) -> tuple[_Fleet, int, int]:

@@ -1,4 +1,4 @@
-"""HTTP client for the fleet service — ``urllib`` plus the contracts.
+"""HTTP client for the fleet service — ``http.client`` plus the contracts.
 
 One small class wraps every route the server exposes, translating
 HTTP errors into :class:`ServiceError` (which keeps the status code
@@ -7,6 +7,13 @@ contracts.  It deliberately imports nothing from the fleet layer: a
 worker host needs this module, :mod:`repro.service.contracts`,
 :mod:`repro.service.retry`, and the evaluation stack — not the whole
 orchestration surface.
+
+Each thread keeps one persistent (keep-alive)
+:class:`http.client.HTTPConnection` to the server, so a worker's
+session costs one TCP connection, not one per request.  A kept-alive
+socket the server has since closed (its idle timeout, a restart) is
+replaced once, and the request re-sent on a fresh connection.  The
+event stream opens a connection of its own, closed with the stream.
 
 Fault tolerance: every request can run under a shared
 :class:`~repro.service.retry.RetryPolicy` (pass ``retry=``).  The
@@ -30,11 +37,19 @@ fault deterministically.
 from __future__ import annotations
 
 import json
+import threading
 import uuid
-from http.client import HTTPException
-from typing import Any, Callable, Iterator, Mapping, Optional, Union
-from urllib.error import HTTPError, URLError
-from urllib.request import Request, urlopen
+from http.client import HTTPConnection, HTTPException, HTTPResponse
+from typing import (
+    Any,
+    Callable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    Union,
+)
+from urllib.parse import urlsplit
 
 from .contracts import (
     FleetStatus,
@@ -75,6 +90,8 @@ class ServiceClient:
     ``retry=None`` keeps the historical try-once behavior; pass a
     :class:`RetryPolicy` to make every call survive transient faults.
     ``sleep`` is injectable so retry tests never actually wait.
+    Raises :class:`ValueError` for a URL that is not ``http://``
+    (``repro serve`` speaks plain HTTP).
     """
 
     def __init__(self, base_url: str, *, timeout_s: float = 30.0,
@@ -83,48 +100,61 @@ class ServiceClient:
                  fault_hook: Optional[
                      Callable[[str], Optional[str]]] = None) -> None:
         self.base_url = base_url.rstrip("/")
+        url = urlsplit(self.base_url)
+        if url.scheme != "http" or not url.hostname:
+            raise ValueError(f"not an http:// URL: {base_url!r}")
+        self._host, self._port = url.hostname, url.port
+        self._prefix = url.path
         self.timeout_s = timeout_s
         self.retry = retry if retry is not None else RetryPolicy.none()
         self._sleep = sleep
         self._fault = fault_hook
+        self._local = threading.local()
 
     # -- plumbing ---------------------------------------------------------
 
+    def _connect(self, timeout_s: float) -> HTTPConnection:
+        return HTTPConnection(self._host, self._port, timeout=timeout_s)
+
+    def close(self) -> None:
+        """Close the calling thread's kept-alive connection."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            connection.close()
+
     def _http(self, method: str, path: str, body: Optional[bytes],
               wait_s: float = 0.0) -> Any:
-        request = Request(
-            self.base_url + path, data=body, method=method,
-            headers={"Content-Type": "application/json"} if body else {})
-        try:
-            with urlopen(request,
-                         timeout=self.timeout_s + wait_s) as response:
-                return json.loads(response.read() or b"null")
-        except HTTPError as exc:
-            detail = ""
-            retry_after = 0.0
+        timeout_s = self.timeout_s + wait_s
+        headers = {"Content-Type": "application/json"} if body else {}
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = \
+                self._connect(timeout_s)
+        while True:
+            # A socket still open has served a request before: if it
+            # fails before any answer, the server closed it while idle
+            # — re-send once on a fresh one (every route is idempotent).
+            kept = connection.sock is not None
+            connection.timeout = timeout_s
+            if kept:
+                connection.sock.settimeout(timeout_s)
             try:
-                payload = json.loads(exc.read())
-                detail = str(payload.get("error", ""))
-                retry_after = float(payload.get("retry_after_s", 0.0))
-            except (OSError, TypeError, ValueError, AttributeError):
-                pass
-            header = (exc.headers.get("Retry-After")
-                      if exc.headers is not None else None)
-            if header is not None:
-                try:
-                    retry_after = max(retry_after, float(header))
-                except ValueError:
-                    pass
-            raise ServiceError(exc.code, detail or exc.reason,
-                               retry_after_s=retry_after) from None
-        except URLError as exc:
-            raise ServiceUnavailable(
-                f"cannot reach {self.base_url}: {exc.reason}") from None
-        except (HTTPException, OSError) as exc:
-            # The connection died mid-request — a server killed while
-            # it held a long poll, say.  As transient as a refusal.
-            raise ServiceUnavailable(
-                f"lost {self.base_url}: {exc!r}") from None
+                connection.request(method, self._prefix + path,
+                                   body=body, headers=headers)
+                response = connection.getresponse()
+                data = response.read()
+                break
+            except (HTTPException, OSError) as exc:
+                connection.close()
+                if kept and not isinstance(exc, TimeoutError):
+                    continue
+                # Refused, or the connection died mid-request — a
+                # server killed while it held a long poll, say.
+                raise ServiceUnavailable(
+                    f"cannot reach {self.base_url}: {exc!r}") from None
+        if response.status >= 400:
+            raise _error(response, data)
+        return json.loads(data or b"null")
 
     def _attempt(self, method: str, path: str, body: Optional[bytes],
                  wait_s: float) -> Any:
@@ -251,26 +281,27 @@ class ServiceClient:
         they only prove the stream is alive.
         """
         suffix = "?follow=1" if follow else ""
-        request = Request(
-            self.base_url + f"/fleets/{fleet_id}/events{suffix}")
+        connection = self._connect(self.timeout_s)
         try:
-            with urlopen(request, timeout=self.timeout_s) as response:
-                if response.status != 200:
-                    raise ServiceError(response.status, "event stream")
-                for line in response:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    event = json.loads(line)
-                    if (not heartbeats and isinstance(event, dict)
-                            and event.get("event") == "heartbeat"):
-                        continue
-                    yield event
-        except HTTPError as exc:
-            raise ServiceError(exc.code, exc.reason) from None
-        except URLError as exc:
+            connection.request(
+                "GET", f"{self._prefix}/fleets/{fleet_id}/events{suffix}")
+            response = connection.getresponse()
+            if response.status != 200:
+                raise _error(response, response.read())
+            for line in response:
+                line = line.strip()
+                if not line:
+                    continue
+                event = json.loads(line)
+                if (not heartbeats and isinstance(event, dict)
+                        and event.get("event") == "heartbeat"):
+                    continue
+                yield event
+        except (HTTPException, OSError) as exc:
             raise ServiceUnavailable(
-                f"cannot reach {self.base_url}: {exc.reason}") from None
+                f"cannot reach {self.base_url}: {exc!r}") from None
+        finally:
+            connection.close()
 
     def compare(self, a: str, b: str) -> dict[str, Any]:
         return dict(self._get(f"/compare?a={a}&b={b}"))
@@ -313,3 +344,38 @@ class ServiceClient:
         submission = ResultSubmission(lease_id=lease_id, error=error)
         return ResultAck.from_dict(self._post("/results",
                                               submission.to_dict()))
+
+    def post_results(self, submissions: Sequence[ResultSubmission]
+                     ) -> list[Union[ResultAck, ServiceError]]:
+        """Post a batch of results and failures in one request.  Each
+        item is answered on its own, in order: its ack, or the
+        :class:`ServiceError` a single post of it would have raised.
+        Safe to retry whole: items that already landed ack as
+        duplicates."""
+        payload = self._post("/results", {"results": [
+            submission.to_dict() for submission in submissions]})
+        return [ServiceError(int(item["status"]), str(item["error"]))
+                if "error" in item else ResultAck.from_dict(item)
+                for item in payload["acks"]]
+
+
+def _error(response: HTTPResponse, data: bytes) -> ServiceError:
+    """The :class:`ServiceError` for an error answer: the server's
+    message, and its retry hint from the JSON body or the
+    ``Retry-After`` header, whichever is longer."""
+    detail = ""
+    retry_after = 0.0
+    try:
+        payload = json.loads(data)
+        detail = str(payload.get("error", ""))
+        retry_after = float(payload.get("retry_after_s", 0.0))
+    except (TypeError, ValueError, AttributeError):
+        pass
+    header = response.getheader("Retry-After")
+    if header is not None:
+        try:
+            retry_after = max(retry_after, float(header))
+        except ValueError:
+            pass
+    return ServiceError(response.status, detail or response.reason,
+                        retry_after_s=retry_after)

@@ -8,9 +8,10 @@ newer server fails loudly instead of mis-parsing.
 
 This module is deliberately stdlib-only and imports nothing from the
 rest of the package: the client (and a worker deployed on a bare
-host) needs exactly these shapes plus ``urllib``.  Scenario and sweep
-payloads travel as the plain dicts their own ``to_dict``/``from_dict``
-already define — the service adds an envelope, not a new encoding.
+host) needs exactly these shapes plus ``http.client``.  Scenario and
+sweep payloads travel as the plain dicts their own
+``to_dict``/``from_dict`` already define — the service adds an
+envelope, not a new encoding.
 """
 
 from __future__ import annotations
@@ -257,7 +258,8 @@ class ResultSubmission:
 
     Either ``record`` (a :class:`~repro.fleet.sweep.RunRecord` dict)
     on success or ``error`` on failure — a failed run is immediately
-    re-queued instead of waiting out the lease.
+    re-queued instead of waiting out the lease.  A batch body carries
+    a list of these as ``{"results": [...]}``.
     """
 
     lease_id: str
@@ -297,7 +299,9 @@ class ResultSubmission:
 
 @dataclass(frozen=True)
 class ResultAck:
-    """``POST /results`` response: what the broker did with it."""
+    """``POST /results`` response: what the broker did with it (for
+    a batch, one per item under ``acks``, where a refused item is
+    ``{"error": ..., "status": ...}`` instead)."""
 
     accepted: bool                      #: record became the run's result
     duplicate: bool = False             #: run already had a result

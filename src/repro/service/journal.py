@@ -17,9 +17,10 @@ Format — segmented NDJSON::
       segment-000002.ndjson     # the live (append) segment
 
 * **Appends** go to the highest-numbered segment: one
-  ``json.dumps`` line, flushed (and optionally fsynced) per entry.  A
-  torn final line — the signature of a crash mid-write — is detected
-  on replay and dropped; every whole line is replayed.
+  ``json.dumps`` line per entry, each call's lines in one write,
+  flushed (and optionally fsynced) before it returns.  A torn final
+  line — the signature of a crash mid-write — is detected on replay
+  and dropped; every whole line is replayed.
 * **Compaction** is staged: the compacted state is written to a brand
   new segment through a temp file and one atomic :func:`os.replace`,
   *then* the older segments are unlinked.  The first entry of a
@@ -110,22 +111,25 @@ class FleetJournal:
 
     # -- writing ----------------------------------------------------------
 
-    def append(self, entry: dict[str, Any]) -> int:
-        """Durably append one entry; returns its sequence number.
+    def append(self, *entries: dict[str, Any]) -> int:
+        """Durably append entries, one line and one ``seq`` each;
+        returns the last sequence number.
 
-        The line is flushed (and fsynced when configured) before this
-        returns — an ack the broker sends after ``append`` is an ack
-        the journal already remembers.
+        The lines go out in one write and are flushed (and fsynced
+        when configured) before this returns — an ack the broker sends
+        after ``append`` is an ack the journal already remembers.
         """
-        self._seq += 1
-        stamped = dict(entry, seq=self._seq)
-        line = json.dumps(stamped, sort_keys=True) + "\n"
+        lines = []
+        for entry in entries:
+            self._seq += 1
+            lines.append(json.dumps(dict(entry, seq=self._seq),
+                                    sort_keys=True) + "\n")
         with self._live.open("a") as handle:
-            handle.write(line)
+            handle.write("".join(lines))
             handle.flush()
             if self.fsync:
                 os.fsync(handle.fileno())
-        self.appended_since_compact += 1
+        self.appended_since_compact += len(lines)
         return self._seq
 
     def sync(self) -> None:

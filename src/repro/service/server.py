@@ -34,9 +34,28 @@ encodings):
                                       without it one grant or
                                       ``{"run": null}``; ``wait_s``
                                       long-polls for work
-``POST /results``                     worker return; ResultAck
+``POST /results``                     worker return: one
+                                      ResultSubmission, answered with a
+                                      ResultAck, or a batch ``{"results":
+                                      [...]}``, answered ``{"acks":
+                                      [...]}`` item by item (a ResultAck,
+                                      or ``{"error", "status"}`` for an
+                                      item refused as the single post
+                                      would be)
 ``GET  /compare?a=<id>&b=<id>``       cross-fleet comparison report
 ====================================  ======================================
+
+Connections are HTTP/1.1 keep-alive, so a worker or client pays one
+TCP connection and one server thread for its whole session.  Every
+JSON answer carries a ``Content-Length`` and leaves without Nagle
+delay; the NDJSON event stream instead answers ``Connection: close``
+and ends with its connection.  Bodies are framed strictly: a missing,
+negative or non-integer ``Content-Length`` (or a chunked body) is a
+400, one past :data:`MAX_BODY_BYTES` a 413, and any answer sent before
+the body was read in full closes the connection, so leftover bytes are
+never parsed as the next request.  A connection idle (or stalled
+mid-request) for :data:`HANDLER_TIMEOUT_S` is closed, freeing its
+thread.
 
 Errors are JSON ``{"error": ...}``: 400 for malformed payloads, 404
 for unknown fleets/runs/leases, 409 for a result that fails content
@@ -58,6 +77,8 @@ cache is GC'd (:func:`repro.fleet.gc.run_gc`) on startup and every
 from __future__ import annotations
 
 import json
+import socket
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -80,9 +101,26 @@ __all__ = ["ReproService"]
 #: client turns into a send error instead of a thread leak.
 HEARTBEAT = {"event": "heartbeat"}
 
+#: Largest request body accepted (413 past it).  The largest legitimate
+#: bodies are fleet submissions.  A sweep is a few KB at any size; a
+#: packed run list (what the ``remote`` backend sends) costs a base
+#: spec (about 11 KB) per base plus a few hundred bytes per run, so
+#: fleets of about 10^5 runs fit; a plain list of full run specs
+#: (about 11 KB each) fits about 6000.  A batch of results (about 2.4 KB
+#: a record) fits many times over.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Seconds a connection may sit idle between requests, or stall while
+#: sending one, before its handler thread closes it.
+HANDLER_TIMEOUT_S = 30.0
+
 
 class _BadRequest(Exception):
     """Maps to a 400 with its message."""
+
+
+class _TooLarge(Exception):
+    """Maps to a 413 with its message."""
 
 
 class ReproService:
@@ -186,6 +224,7 @@ class ReproService:
         self._stop.set()
         self.httpd.shutdown()
         self.httpd.server_close()
+        self.httpd.close_connections()
         for thread in self._threads:
             thread.join(timeout=5.0)
         self._threads.clear()
@@ -347,14 +386,54 @@ class ReproService:
 
 
 class _ServiceHTTPServer(ThreadingHTTPServer):
+    """Tracks its open connections, so that :meth:`ReproService.stop`
+    can hang up kept-alive ones instead of leaving them served."""
+
     daemon_threads = True
     allow_reuse_address = True
     service: ReproService
+
+    def __init__(self, address: tuple[str, int],
+                 handler: type[BaseHTTPRequestHandler]) -> None:
+        super().__init__(address, handler)
+        self._open_lock = threading.Lock()
+        self._open: set[socket.socket] = set()
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        # A client hanging up on a kept-alive connection (a reset while
+        # the handler waits for its next request) is not a server error.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+    def close_connections(self) -> None:
+        with self._open_lock:
+            connections = list(self._open)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass              # already gone
 
 
 class _Handler(BaseHTTPRequestHandler):
     server: _ServiceHTTPServer
     server_version = f"repro-serve/{__version__}"
+    protocol_version = "HTTP/1.1"
+    # Headers and body are two sends; with Nagle on, the body waited
+    # out the client's delayed ACK on every kept-alive request.
+    disable_nagle_algorithm = True
+    timeout = HANDLER_TIMEOUT_S
+    _body_read = False
 
     def log_message(self, format: str, *args: Any) -> None:
         # Quiet by default: the CLI prints the bound URL; per-request
@@ -375,32 +454,51 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
+        if self._body_unread():
+            # Unread body bytes would parse as the next request: hang
+            # up after this answer (the header sets close_connection).
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _error(self, status: int, message: str) -> None:
         self._json(status, {"error": message})
 
+    def _body_unread(self) -> bool:
+        """Whether the request declared a body not read in full."""
+        return not self._body_read and (
+            self.headers.get("Content-Length", "0").strip() != "0"
+            or "Transfer-Encoding" in self.headers)
+
     def _read_json(self) -> Any:
+        if "Transfer-Encoding" in self.headers:
+            raise _BadRequest("request body needs a Content-Length")
         try:
             length = int(self.headers.get("Content-Length", "0"))
-            raw = self.rfile.read(length)
+        except ValueError:
+            raise _BadRequest("Content-Length is not an integer") \
+                from None
+        if length < 0:
+            raise _BadRequest("Content-Length is negative")
+        if length > MAX_BODY_BYTES:
+            raise _TooLarge(f"body of {length} bytes is over the "
+                            f"{MAX_BODY_BYTES}-byte limit")
+        raw = self.rfile.read(length)
+        if len(raw) != length:
+            raise _BadRequest("body ended before its Content-Length")
+        self._body_read = True
+        try:
             return json.loads(raw or b"null")
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise _BadRequest(f"body is not valid JSON: {exc}") from None
 
     def _dispatch(self, method: str) -> None:
+        self._body_read = False
         url = urlparse(self.path)
         parts = [part for part in url.path.split("/") if part]
         query = parse_qs(url.query)
         try:
             handled = self._route(method, parts, query)
-        except _BadRequest as exc:
-            self._error(400, str(exc))
-        except ContractError as exc:
-            self._error(400, str(exc))
-        except LookupError as exc:
-            self._error(404, str(exc))
         except BrokerBusy as exc:
             # Backpressure: tell the client when to come back — the
             # retry policy reads both the header and the JSON field.
@@ -408,9 +506,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._json(429, {"error": str(exc),
                              "retry_after_s": retry_after},
                        headers={"Retry-After": f"{retry_after:.3f}"})
-        except ValueError as exc:
-            # The broker's content-verification rejection.
-            self._error(409, str(exc))
+        except (_BadRequest, _TooLarge, LookupError, ValueError) as exc:
+            self._error(_status_of(exc), str(exc))
         except (BrokenPipeError, ConnectionResetError):
             pass                  # client went away mid-stream
         else:
@@ -487,16 +584,34 @@ class _Handler(BaseHTTPRequestHandler):
             elif parts == ["lease"]:
                 self._json(200, service.lease(self._read_json()))
             elif parts == ["results"]:
-                body = self._read_json()
-                if not isinstance(body, dict):
-                    raise _BadRequest("result body must be an object")
-                submission = ResultSubmission.from_dict(body)
-                ack = self.service.broker.submit_result(submission)
-                self._json(200, ack.to_dict())
+                self._json(200, self._results(self._read_json()))
             else:
                 return False
             return True
         return False
+
+    def _results(self, body: Any) -> dict[str, Any]:
+        """Land one POST /results body: a single submission, or a
+        ``{"results": [...]}`` batch answered item by item."""
+        if not isinstance(body, dict):
+            raise _BadRequest("result body must be an object")
+        broker = self.service.broker
+        if "results" not in body:
+            return broker.submit_result(
+                ResultSubmission.from_dict(body)).to_dict()
+        items = body["results"]
+        if not isinstance(items, list) or not all(
+                isinstance(item, dict) for item in items):
+            raise _BadRequest("results must be a list of objects")
+        try:
+            batch = [ResultSubmission.from_dict(item) for item in items]
+        except (TypeError, ValueError) as exc:
+            raise _BadRequest(f"invalid result in batch: {exc}") \
+                from None
+        return {"acks": [
+            {"error": str(outcome), "status": _status_of(outcome)}
+            if isinstance(outcome, Exception) else outcome.to_dict()
+            for outcome in broker.submit_results(batch)]}
 
     def _stream_events(self, fleet_id: str, *, follow: bool) -> None:
         # Touch the fleet first so an unknown id is a clean 404, not a
@@ -505,6 +620,9 @@ class _Handler(BaseHTTPRequestHandler):
         service.broker.status(fleet_id)
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
+        # No length to frame the stream with: it ends with the
+        # connection (the header also sets close_connection).
+        self.send_header("Connection", "close")
         self.end_headers()
         service._stream_opened()
         try:
@@ -531,3 +649,14 @@ class _Handler(BaseHTTPRequestHandler):
                     break
         finally:
             service._stream_closed()
+
+
+def _status_of(exc: Exception) -> int:
+    """The HTTP status a refused request (or batch item) answers with."""
+    if isinstance(exc, (_BadRequest, ContractError)):
+        return 400
+    if isinstance(exc, _TooLarge):
+        return 413
+    if isinstance(exc, LookupError):
+        return 404
+    return 409     # a ValueError: the broker's content verification

@@ -5,17 +5,23 @@ lease a build-key group (every pending run of a fleet that shares one
 compiled world, in one round trip), evaluate it through one
 :class:`~repro.fleet.executors.BatchExecutor` ``map`` — so the runs
 share the compiled world and its per-group block cache, and the
-executor is kept for the whole session — POST each record back as
-soon as it is done, repeat.  An idle lease request long-polls: the
-server holds it until work arrives or ``poll_s`` passes, so there is
-no sleep between requests.  Determinism needs no help here — a
+executor is kept for the whole session — post the records back,
+repeat.  Results go back in batches: a group's first record alone (so
+the first result a client waits for is not held back), then the rest
+in one ``POST /results`` when the group ends, when a run fails, or
+once half the lease TTL has passed since the last post (each post
+renews the group's leases).  All requests ride one kept-alive
+connection.  An idle lease request long-polls: the server holds it
+until work arrives or ``poll_s`` passes, so there is no sleep between
+requests.  Determinism needs no help here — a
 :class:`~repro.fleet.sweep.RunRecord` is a pure function of
 ``(spec, seed, density)``, so *which* worker evaluates a run never
 shows in the record.
 
 Failure handling mirrors the broker's fault model: an evaluation
 error is reported (the run re-queues immediately for another worker),
-and a worker that dies silently just lets its lease expire.  Every
+and a worker that dies silently just lets its leases expire: the runs
+whose results were not acked yet return to the queue.  Every
 request runs under the shared :class:`~repro.service.retry.RetryPolicy`
 — transient connection errors, server restarts, and 429 backpressure
 are absorbed by per-call backoff (idempotency makes blind retry safe),
@@ -39,7 +45,7 @@ from ..fleet.compiled import COMPILED_DIR, CompiledScenarioCache
 from ..fleet.executors import BatchExecutor
 from ..fleet.sweep import RunSpec
 from .client import ServiceClient, ServiceError, ServiceUnavailable
-from .contracts import LeaseGrant
+from .contracts import LeaseGrant, ResultSubmission
 from .retry import RetryPolicy
 
 __all__ = ["run_worker"]
@@ -156,44 +162,74 @@ def run_worker(server: str, *, worker_id: str = "",
                 break
     finally:
         executor.close()
+        client.close()
     return completed
 
 
 def _work_group(client: ServiceClient, executor: BatchExecutor,
                 grants: Sequence[LeaseGrant], worker_id: str,
                 say: Callable[[str], None]) -> tuple[int, bool]:
-    """Evaluate one leased group through one ``map`` and post each
-    record as soon as it is done.  Returns how many results landed and
-    whether the server was lost (the rest of the group then simply
-    waits out its leases)."""
+    """Evaluate one leased group through one ``map`` and post the
+    results: the first alone, the rest batched (see the module doc).
+    Returns how many results landed and whether the server was lost
+    (the unposted rest of the group then simply waits out its
+    leases)."""
     runs = [RunSpec.from_dict(grant.run) for grant in grants]
-    outcomes = executor.map(runs)
+    run_ids = {grant.lease_id: run.run_id
+               for grant, run in zip(grants, runs)}
+    # Posting this often keeps the group's leases renewed; the first
+    # deadline is one TTL after the grant.
+    post_every_s = grants[0].ttl_s / 2.0
+    last_post = time.monotonic()
+    held: list[ResultSubmission] = []
     posted = 0
+
+    def post() -> bool:
+        """Post what is held; ``False`` when the server is lost."""
+        nonlocal last_post, posted
+        batch = held[:]
+        held.clear()
+        last_post = time.monotonic()
+        try:
+            acks = client.post_results(batch)
+        except ServiceError as exc:
+            say(f"{worker_id}: {len(batch)} result(s) rejected ({exc})")
+            return True
+        except ServiceUnavailable:
+            return False
+        for submission, ack in zip(batch, acks):
+            run_id = run_ids[submission.lease_id]
+            if isinstance(ack, ServiceError):
+                say(f"{worker_id}: result for {run_id} rejected ({ack})")
+            elif not submission.error:
+                posted += 1
+                state = ("ok" if ack.accepted
+                         else "duplicate" if ack.duplicate else "dropped")
+                say(f"{worker_id}: {run_id} done in "
+                    f"{submission.wall_s:.2f} s ({state})")
+        return True
+
+    outcomes = executor.map(runs)
     for index, (grant, run) in enumerate(zip(grants, runs)):
         try:
             outcome = next(outcomes)
         except Exception as exc:   # report, requeue, keep serving
             say(f"{worker_id}: {run.run_id} failed: {exc}")
-            try:
-                client.post_failure(grant.lease_id,
-                                    f"{type(exc).__name__}: {exc}")
-            except (ServiceError, ServiceUnavailable):
-                pass
+            held.append(ResultSubmission(
+                lease_id=grant.lease_id,
+                error=f"{type(exc).__name__}: {exc}"))
             # The failed map is spent: evaluate the rest afresh.
             outcomes = executor.map(runs[index + 1:])
-            continue
-        try:
-            ack = client.post_result(grant.lease_id,
-                                     outcome.record.to_dict(),
-                                     wall_s=outcome.wall_s)
-        except ServiceError as exc:
-            say(f"{worker_id}: result for {run.run_id} rejected ({exc})")
-            continue
-        except ServiceUnavailable:
-            return posted, True
-        posted += 1
-        state = ("ok" if ack.accepted
-                 else "duplicate" if ack.duplicate else "dropped")
-        say(f"{worker_id}: {run.run_id} done in "
-            f"{outcome.wall_s:.2f} s ({state})")
+            failed = True
+        else:
+            held.append(ResultSubmission(
+                lease_id=grant.lease_id, record=outcome.record.to_dict(),
+                wall_s=outcome.wall_s))
+            failed = False
+        if (posted == 0 or failed
+                or time.monotonic() - last_post >= post_every_s):
+            if not post():
+                return posted, True
+    if held and not post():
+        return posted, True
     return posted, False

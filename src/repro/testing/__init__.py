@@ -16,11 +16,13 @@ __all__ = [
     "SimulatedCrash",
     "WorkerKilled",
     "corrupt_cache_entry",
+    "oversized_body",
     "seeded_bytes",
+    "slow_client",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".faults": ("ACTIONS", "FaultInjected", "FaultSchedule", "FaultSpec",
                 "SimulatedCrash", "WorkerKilled", "corrupt_cache_entry",
-                "seeded_bytes"),
+                "oversized_body", "seeded_bytes", "slow_client"),
 })

@@ -20,6 +20,11 @@ seams threaded through the service stack:
   "kill the worker after three leases".
 * ``delay`` sleeps ``delay_s`` before the attempt proceeds.
 
+Two misbehaving HTTP clients play what the seams cannot, over a raw
+socket against a live server: :func:`oversized_body` declares a body
+past the server's cap, :func:`slow_client` stalls halfway through
+one.  Both return whatever the server answered before it hung up.
+
 Every rule fires by *count*, never by chance: ``after`` skips the
 first N matching calls, ``times`` arms it for the next M (0 = forever).
 Given the same components and schedule, the same calls fire the same
@@ -35,12 +40,14 @@ every decision in ``fired`` for post-hoc assertions.
 from __future__ import annotations
 
 import hashlib
+import socket
 import time
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
 from threading import Lock
 from typing import Optional, Sequence, Union
+from urllib.parse import urlsplit
 
 __all__ = [
     "ACTIONS",
@@ -50,7 +57,9 @@ __all__ = [
     "SimulatedCrash",
     "WorkerKilled",
     "corrupt_cache_entry",
+    "oversized_body",
     "seeded_bytes",
+    "slow_client",
 ]
 
 #: Verbs the client seam interprets directly.
@@ -200,3 +209,42 @@ def corrupt_cache_entry(cache_dir: Union[str, Path], key: str, *,
     size = max(1, path.stat().st_size)
     path.write_bytes(seeded_bytes(seed, size, label=key))
     return path
+
+
+def oversized_body(url: str, path: str, *, limit: int,
+                   timeout_s: float = 10.0) -> bytes:
+    """The oversized-body fault: POST ``path`` declaring a body one
+    byte past ``limit`` (the server's cap) and send none of it.
+    Returns what the server answered before it hung up — a 413, and
+    a closed connection, since the body was never read."""
+    return _raw_post(url, path, declared=limit + 1, body=b"",
+                     timeout_s=timeout_s)
+
+
+def slow_client(url: str, path: str, *, timeout_s: float = 10.0) -> bytes:
+    """The slow-client fault: POST ``path`` with half of the body its
+    ``Content-Length`` declares, then stall.  Returns what the server
+    answered before it hung up — nothing, once its handler timeout
+    gave the connection's thread back.  Raises :class:`TimeoutError`
+    when the server is still waiting after ``timeout_s``."""
+    body = b'{"results": []}'
+    return _raw_post(url, path, declared=len(body),
+                     body=body[:len(body) // 2], timeout_s=timeout_s)
+
+
+def _raw_post(url: str, path: str, *, declared: int, body: bytes,
+              timeout_s: float) -> bytes:
+    """Send a POST head declaring ``declared`` body bytes, then
+    ``body``; read until the server closes the connection."""
+    parts = urlsplit(url)
+    host = parts.hostname or "127.0.0.1"
+    with socket.create_connection((host, parts.port or 80),
+                                  timeout=timeout_s) as conn:
+        conn.sendall(f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
+                     f"Content-Type: application/json\r\n"
+                     f"Content-Length: {declared}\r\n\r\n".encode()
+                     + body)
+        answer = b""
+        while chunk := conn.recv(65536):
+            answer += chunk
+        return answer

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+import repro.service.server as server_module
 from repro.fleet import ResultCache, SweepAxis, SweepSpec, run_sweep
 from repro.fleet.store import FleetStore
 from repro.scenarios import klagenfurt
@@ -31,6 +32,8 @@ from repro.testing import (
     FaultSpec,
     SimulatedCrash,
     corrupt_cache_entry,
+    oversized_body,
+    slow_client,
 )
 
 AXIS = "campaign.handover_interruption_s"
@@ -54,6 +57,36 @@ def serial_records(sweep):
     result = run_sweep(sweep, executor="serial")
     return {record.run_id: record.to_dict()
             for record in result.records}
+
+
+@pytest.fixture(scope="module")
+def group_sweep():
+    """Four runs, one build key: one leased group, so the worker posts
+    its first result alone and the other three as one batch."""
+    return SweepSpec(bases=(klagenfurt(),),
+                     axes=(SweepAxis(AXIS, (30e-3, 45e-3, 60e-3,
+                                            75e-3)),),
+                     seeds=(42,), density=2.0)
+
+
+@pytest.fixture(scope="module")
+def group_records(group_sweep):
+    return {record.run_id: record.to_dict()
+            for record in run_sweep(group_sweep).records}
+
+
+class FakeClock:
+    """The broker's lease clock, advanced by hand: leases expire when
+    a test says so, not after a real TTL."""
+
+    def __init__(self):
+        self.now = 100.0
+
+    def __call__(self):
+        return self.now
+
+    def advance(self, dt):
+        self.now += dt
 
 
 RETRY = RetryPolicy(max_attempts=6, base_delay_s=0.02,
@@ -156,7 +189,9 @@ def test_worker_killed_posting_its_result_stays_bit_identical(
     schedule = FaultSchedule([
         FaultSpec(op="POST /results", action="kill", times=1),
     ])
-    service = ReproService(tmp_path / "root", port=0, lease_ttl_s=0.5)
+    clock = FakeClock()
+    service = ReproService(tmp_path / "root", port=0, lease_ttl_s=10.0)
+    service.broker.clock = clock       # leases expire when told to
     service.start()
     try:
         client = ServiceClient(service.url)
@@ -164,8 +199,8 @@ def test_worker_killed_posting_its_result_stays_bit_identical(
         doomed = _worker(service.url, schedule, worker_id="doomed")
         doomed.join(timeout=60.0)
         assert schedule.fired_actions("kill") == 1
-        healthy = _worker(service.url, worker_id="healthy",
-                          max_idle_s=5.0)
+        clock.advance(11.0)               # the doomed leases expire
+        healthy = _worker(service.url, worker_id="healthy")
         status = _wait_complete(client, ack.fleet_id)
         healthy.join(timeout=60.0)
 
@@ -175,6 +210,128 @@ def test_worker_killed_posting_its_result_stays_bit_identical(
         # whole build-key group; none of it landed, so all of it went
         # back to the queue.
         assert service.broker.requeues == len(runs)
+        _assert_identical(client, ack.fleet_id, runs, serial_records)
+    finally:
+        service.stop()
+
+
+def test_worker_killed_mid_batch_loses_only_its_unacked_runs(
+        tmp_path, group_sweep, group_records):
+    """The doomed worker's first result is acked; it dies sending the
+    batch with the other three.  Only those three requeue, the
+    finisher evaluates exactly them, and the fleet matches serial."""
+    schedule = FaultSchedule([
+        FaultSpec(op="POST /results", after=1, action="kill", times=1),
+    ])
+    clock = FakeClock()
+    service = ReproService(tmp_path / "root", port=0, lease_ttl_s=10.0)
+    service.broker.clock = clock       # leases expire when told to
+    service.start()
+    try:
+        client = ServiceClient(service.url)
+        ack = client.submit_sweep(group_sweep.to_dict())
+        doomed = _worker(service.url, schedule, worker_id="doomed")
+        doomed.join(timeout=60.0)
+        assert schedule.fired_actions("kill") == 1
+        assert client.status(ack.fleet_id).done == 1
+        clock.advance(11.0)               # the unacked leases expire
+        finished = run_worker(service.url, worker_id="finisher",
+                              poll_s=0.05, max_idle_s=0.5, retry=RETRY)
+        status = client.status(ack.fleet_id)
+        assert finished == 3
+        assert status.complete and status.workers == 2
+        assert service.broker.requeues == 3
+        for run in group_sweep.expand():
+            assert client.record(ack.fleet_id, run.run_id) == \
+                group_records[run.run_id]
+    finally:
+        service.stop()
+
+
+def test_a_lost_batch_answer_is_retried_as_duplicates(
+        tmp_path, group_sweep, group_records):
+    """The server lands a batch but its answer is lost: the retry acks
+    every item as a duplicate — no second record, no second journal
+    ack."""
+    schedule = FaultSchedule([
+        FaultSpec(op="POST /results", after=1, action="drop-response",
+                  times=1),
+    ])
+    service = ReproService(tmp_path / "root", port=0)
+    service.start()
+    try:
+        client = ServiceClient(service.url)
+        ack = client.submit_sweep(group_sweep.to_dict())
+        completed = run_worker(service.url, worker_id="retrier",
+                               poll_s=0.05, max_idle_s=0.5, retry=RETRY,
+                               fault_hook=schedule)
+        assert schedule.fired == [("POST /results", "drop-response")]
+        assert completed == 4
+        assert client.status(ack.fleet_id).complete
+        acked = [entry["run_id"]
+                 for entry in service.journal.iter_types("ack")]
+        assert sorted(acked) == sorted(group_records)
+        runs_dir = service.broker.fleet_dir(ack.fleet_id) / "runs"
+        assert len(list(runs_dir.glob("*.json"))) == 4
+        for run in group_sweep.expand():
+            assert client.record(ack.fleet_id, run.run_id) == \
+                group_records[run.run_id]
+    finally:
+        service.stop()
+
+
+# ---------------------------------------------------------------------------
+# Misbehaving clients at the HTTP boundary: bodies too big, too slow
+# ---------------------------------------------------------------------------
+
+def test_oversized_body_is_refused_and_the_fleet_finishes(
+        tmp_path, sweep, runs, serial_records):
+    service = ReproService(tmp_path / "root", port=0)
+    service.start()
+    try:
+        for path in ("/fleets", "/results"):
+            answer = oversized_body(service.url, path,
+                                    limit=server_module.MAX_BODY_BYTES)
+            assert answer.startswith(b"HTTP/1.1 413")
+            assert b"Connection: close" in answer
+        client = ServiceClient(service.url)
+        ack = client.submit_sweep(sweep.to_dict())
+        worker = _worker(service.url, worker_id="after-413",
+                         max_idle_s=0.5)
+        _wait_complete(client, ack.fleet_id)
+        worker.join(timeout=60.0)
+        _assert_identical(client, ack.fleet_id, runs, serial_records)
+    finally:
+        service.stop()
+
+
+def test_slow_clients_give_up_their_threads(
+        tmp_path, monkeypatch, sweep, runs, serial_records):
+    """Clients that stall mid-body are hung up on after the handler
+    timeout, while a worker drains a fleet through the same server —
+    its own kept-alive connection, idle past the timeout between
+    requests, is replaced on the fly."""
+    # Every handler gives up after HANDLER_TIMEOUT_S; shortened here.
+    assert server_module._Handler.timeout == server_module.HANDLER_TIMEOUT_S
+    monkeypatch.setattr(server_module._Handler, "timeout", 0.2)
+    service = ReproService(tmp_path / "root", port=0)
+    service.start()
+    try:
+        answers = []
+        stalled = [threading.Thread(
+            target=lambda: answers.append(slow_client(
+                service.url, "/results", timeout_s=10.0)),
+            daemon=True) for _ in range(2)]
+        for thread in stalled:
+            thread.start()
+        client = ServiceClient(service.url)
+        ack = client.submit_sweep(sweep.to_dict())
+        worker = _worker(service.url, worker_id="steady", max_idle_s=0.5)
+        _wait_complete(client, ack.fleet_id)
+        worker.join(timeout=60.0)
+        for thread in stalled:
+            thread.join(timeout=10.0)
+        assert answers == [b"", b""]      # closed without an answer
         _assert_identical(client, ack.fleet_id, runs, serial_records)
     finally:
         service.stop()

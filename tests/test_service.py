@@ -8,6 +8,7 @@ mid-fleet."""
 
 import json
 import socket
+import struct
 import threading
 import time
 from urllib.error import HTTPError
@@ -645,6 +646,107 @@ def test_invalid_json_body_is_a_400(service):
     assert exc_info.value.code == 400
 
 
+# ---------------------------------------------------------------------------
+# Keep-alive connections and body framing (raw sockets)
+# ---------------------------------------------------------------------------
+
+def _exchange(service, raw):
+    """Send ``raw`` on one connection; everything the server answers
+    until it hangs up."""
+    host, port = service.httpd.server_address[:2]
+    with socket.create_connection((host, port), timeout=10.0) as conn:
+        conn.sendall(raw)
+        answer = b""
+        while chunk := conn.recv(65536):
+            answer += chunk
+    return answer.decode()
+
+
+def test_requests_share_one_kept_alive_connection(service):
+    answer = _exchange(service, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+                       b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                       b"Connection: close\r\n\r\n")
+    assert answer.count("HTTP/1.1 200 OK") == 2
+
+
+def test_an_unread_body_closes_the_connection(service):
+    """A POST answered 404 before its body was read: the body must not
+    be parsed as the next request (here it smuggles a GET), and the
+    GET that follows on the socket is never served."""
+    smuggled = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+    answer = _exchange(service, (
+        b"POST /nowhere HTTP/1.1\r\nHost: x\r\nContent-Length: "
+        + str(len(smuggled)).encode() + b"\r\n\r\n" + smuggled
+        + b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"))
+    assert answer.startswith("HTTP/1.1 404")
+    assert "Connection: close" in answer
+    assert answer.count("HTTP/1.1") == 1
+
+
+@pytest.mark.parametrize("length", ["-1", "ten", "1e3"])
+def test_a_bad_content_length_is_a_400_that_closes(service, length):
+    """Answered at once: ``rfile.read(-1)`` used to wait for the client
+    to hang up."""
+    answer = _exchange(service, (
+        f"POST /results HTTP/1.1\r\nHost: x\r\n"
+        f"Content-Length: {length}\r\n\r\n").encode())
+    assert answer.startswith("HTTP/1.1 400")
+    assert "Content-Length is" in answer and "Connection: close" in answer
+
+
+def test_the_event_stream_ends_with_its_connection(completed_fleet,
+                                                  service):
+    fleet_id, _ = completed_fleet
+    answer = _exchange(service, (
+        f"GET /fleets/{fleet_id}/events HTTP/1.1\r\n"
+        f"Host: x\r\n\r\n").encode())
+    assert answer.startswith("HTTP/1.1 200")
+    assert "Connection: close" in answer
+    last = json.loads(answer.rstrip().rsplit("\n", 1)[1])
+    assert last["event"] == "complete"
+
+
+def test_a_client_reset_is_not_logged_as_a_server_error(tmp_path, capfd):
+    service = ReproService(tmp_path / "root", port=0)
+    service.start()
+    try:
+        host, port = service.httpd.server_address[:2]
+        conn = socket.create_connection((host, port), timeout=10.0)
+        conn.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        answer = b""
+        while not answer.endswith(b"}\n"):   # the whole answer is sent
+            answer += conn.recv(65536)
+        assert answer.startswith(b"HTTP/1.1 200")
+        # Hang up with a reset while the handler awaits the next
+        # request on the kept-alive connection.
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                        struct.pack("ii", 1, 0))
+        conn.close()
+        deadline = time.monotonic() + 10.0
+        while service.httpd._open and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not service.httpd._open
+    finally:
+        service.stop()
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_the_client_replaces_a_socket_the_server_closed(tmp_path):
+    service = ReproService(tmp_path / "root", port=0)
+    service.start()
+    try:
+        client = ServiceClient(service.url)
+        for _ in range(3):
+            client.health()
+        assert len(service.httpd._open) == 1     # one kept-alive socket
+        service.httpd.close_connections()        # idle timeout, say
+        assert client.health().ready             # re-sent on a new one
+    finally:
+        service.stop()
+    with pytest.raises(ServiceUnavailable):
+        client.health()                          # the server is gone
+
+
 def test_unknown_routes_and_fleets_are_404s(client):
     with pytest.raises(ServiceError) as exc_info:
         client.status("fleet-9999")
@@ -787,8 +889,9 @@ def test_two_workers_share_a_one_key_fleet(tmp_path, group_sweep,
 # ---------------------------------------------------------------------------
 
 def test_worker_death_requeues_and_stays_bit_identical(
-        tmp_path, runs, serial_records):
-    service = ReproService(tmp_path / "root", port=0, lease_ttl_s=0.5)
+        tmp_path, clock, runs, serial_records):
+    service = ReproService(tmp_path / "root", port=0, lease_ttl_s=10.0)
+    service.broker.clock = clock       # leases expire when told to
     service.start()
     try:
         client = ServiceClient(service.url)
@@ -796,10 +899,10 @@ def test_worker_death_requeues_and_stays_bit_identical(
         # A worker leases the first run and dies without posting.
         doomed = client.lease("doomed")
         assert doomed is not None
-        # A healthy worker drains the fleet; it picks up the doomed
-        # run once the 0.5 s lease expires.
-        worker = _start_worker(service.url, worker_id="healthy",
-                               max_idle_s=5.0)
+        clock.advance(11.0)     # past the doomed lease's 10 s TTL
+        # A healthy worker drains the fleet, the expired doomed run
+        # included.
+        worker = _start_worker(service.url, worker_id="healthy")
         status = _wait_complete(client, ack.fleet_id)
         worker.join(timeout=60.0)
 
@@ -818,6 +921,154 @@ def test_worker_death_requeues_and_stays_bit_identical(
         assert len(list((fleet_dir / "runs").glob("*.json"))) == 2
     finally:
         service.stop()
+
+
+# ---------------------------------------------------------------------------
+# Batched results: per-item acks, and how the worker batches
+# ---------------------------------------------------------------------------
+
+def test_a_batch_is_acked_item_by_item(tmp_path, runs, serial_records):
+    """An accepted record, its duplicate, an unknown lease and a
+    content mismatch in one batch: each item gets its own answer, and
+    the good one lands."""
+    service = ReproService(tmp_path / "root", port=0)
+    service.start()
+    try:
+        client = ServiceClient(service.url)
+        ack = client.submit_runs([run.to_dict() for run in runs])
+        first, second = client.lease_group("w1", max_runs=8).grants
+        good = serial_records[first.run["run_id"]].to_dict()
+        outcomes = client.post_results([
+            ResultSubmission(lease_id=first.lease_id, record=good),
+            ResultSubmission(lease_id=first.lease_id, record=good),
+            ResultSubmission(lease_id="fleet-9999:0:1", record=good),
+            ResultSubmission(lease_id=second.lease_id, record=good),
+        ])
+        assert outcomes[0] == ResultAck(accepted=True)
+        assert outcomes[1] == ResultAck(accepted=False, duplicate=True)
+        assert [outcome.status for outcome in outcomes[2:]] == [404, 409]
+        assert client.record(ack.fleet_id, first.run["run_id"]) == good
+        assert client.status(ack.fleet_id).done == 1
+        assert len(list(service.journal.iter_types("ack"))) == 1
+        # The refused run is still leased; its own record lands.
+        [late] = client.post_results([ResultSubmission(
+            lease_id=second.lease_id,
+            record=serial_records[second.run["run_id"]].to_dict())])
+        assert late.accepted
+        assert client.status(ack.fleet_id).complete
+        with pytest.raises(ServiceError) as exc_info:
+            client._post("/results", {"results": [{"wall_s": 1.0}]})
+        assert exc_info.value.status == 400
+    finally:
+        service.stop()
+
+
+def test_a_batch_lands_in_one_journal_write_and_one_wakeup(
+        tmp_path, monkeypatch, clock, group_sweep, group_records):
+    journal = FleetJournal(tmp_path / "journal")
+    broker = FleetBroker(tmp_path / "fleets", clock=clock, journal=journal)
+    ack = broker.submit_sweep(group_sweep)
+    grants = broker.lease_group("w1", max_runs=8)
+    writes, wakeups = [], []
+    append = journal.append
+    notify_all = broker._cond.notify_all
+    monkeypatch.setattr(journal, "append", lambda *entries: (
+        writes.append([entry["type"] for entry in entries]),
+        append(*entries))[1])
+    monkeypatch.setattr(broker._cond, "notify_all", lambda: (
+        wakeups.append(1), notify_all())[1])
+    acks = broker.submit_results([ResultSubmission(
+        lease_id=grant.lease_id,
+        record=group_records[grant.run["run_id"]].to_dict())
+        for grant in grants])
+    assert all(ack.accepted for ack in acks)
+    # The four acks in one write; the fleet's completion after them.
+    assert writes == [["ack"] * 4, ["complete"]]
+    assert len(wakeups) == 1
+    events = broker.events_since(ack.fleet_id, 0)[0]
+    assert [e["done"] for e in events if e["event"] == "run"] == \
+        [1, 2, 3, 4]
+
+
+def _post_spy(monkeypatch):
+    """Each ``post_results`` batch the worker sends, as ``"ok"`` or
+    ``"error"`` per item."""
+    batches = []
+    post_results = ServiceClient.post_results
+
+    def spy(self, submissions):
+        batches.append(["error" if item.error else "ok"
+                        for item in submissions])
+        return post_results(self, submissions)
+    monkeypatch.setattr(ServiceClient, "post_results", spy)
+    return batches
+
+
+def _drain(service, group_sweep, group_records, **kwargs):
+    client = ServiceClient(service.url)
+    ack = client.submit_sweep(group_sweep.to_dict())
+    completed = run_worker(service.url, poll_s=0.05, max_idle_s=0.2,
+                           **kwargs)
+    status = client.status(ack.fleet_id)
+    assert status.complete
+    for run in group_sweep.expand():
+        assert client.record(ack.fleet_id, run.run_id) == \
+            group_records[run.run_id].to_dict()
+    return completed
+
+
+def test_worker_posts_the_first_result_alone_then_one_batch(
+        tmp_path, monkeypatch, group_sweep, group_records):
+    batches = _post_spy(monkeypatch)
+    service = ReproService(tmp_path / "root", port=0)
+    service.start()
+    try:
+        assert _drain(service, group_sweep, group_records) == 4
+    finally:
+        service.stop()
+    assert batches == [["ok"], ["ok"] * 3]
+
+
+def test_worker_posts_every_half_lease_ttl(tmp_path, monkeypatch, clock,
+                                           group_sweep, group_records):
+    """A 2 ms TTL (on a clock that never moves, so nothing expires):
+    every result goes out as soon as it is done."""
+    batches = _post_spy(monkeypatch)
+    service = ReproService(tmp_path / "root", port=0, lease_ttl_s=0.002)
+    service.broker.clock = clock
+    service.start()
+    try:
+        assert _drain(service, group_sweep, group_records) == 4
+    finally:
+        service.stop()
+    assert batches == [["ok"]] * 4
+
+
+def test_worker_posts_a_failure_with_the_results_it_holds(
+        tmp_path, monkeypatch, group_sweep, group_records):
+    """The third run fails once: its failure goes out at once with the
+    second run's held result, and the requeued run comes back as a
+    group of its own."""
+    doomed = group_sweep.expand()[2].run_id
+    map_runs = BatchExecutor.map
+
+    def flaky(self, runs):
+        for run in runs:
+            if run.run_id == doomed and not failed:
+                failed.append(run.run_id)
+                raise RuntimeError("injected evaluation failure")
+            yield from map_runs(self, [run])
+    failed = []
+    monkeypatch.setattr(BatchExecutor, "map", flaky)
+    batches = _post_spy(monkeypatch)
+    service = ReproService(tmp_path / "root", port=0)
+    service.start()
+    try:
+        assert _drain(service, group_sweep, group_records) == 4
+    finally:
+        service.stop()
+    assert failed == [doomed]
+    assert batches == [["ok"], ["ok", "error"], ["ok"], ["ok"]]
 
 
 # ---------------------------------------------------------------------------
