@@ -58,7 +58,7 @@ class CompiledScenario:
 
     #: bump when the pickled layout changes; the on-disk store treats
     #: a mismatch as a miss and recompiles
-    SCHEMA = 1
+    SCHEMA = 2
 
     def __init__(self, spec: ScenarioSpec, seed: int = 42,
                  density: float = 6.0):
@@ -117,7 +117,10 @@ class CompiledScenario:
         Returns the :class:`EvaluationSummary` a full
         ``InfrastructureEvaluation(seed, density, spec).run().summary()``
         would, bit for bit.  Pass one ``block_cache`` dict across calls
-        to share bit-identical per-cell RTT blocks between runs;
+        to share each cell's random draws (its draw tape, see
+        :mod:`repro.probes.kernel`) between runs: a run redraws only
+        the cells whose draw consumption differs from every earlier
+        run's, and computes its own RTTs from the shared tapes.
         ``check_key=False`` skips the identity check when the caller
         already grouped specs by build key.
         """

@@ -128,7 +128,9 @@ def _evaluate_group(runs: Sequence[RunSpec], key: str,
                     compiled: CompiledScenarioCache) -> Iterator[RunOutcome]:
     """One build-key group through ``compiled``, outcomes in order.
 
-    Members share one per-group block cache.  Each looks its world up
+    Members share one per-group block cache of per-cell draw tapes,
+    so each cell is drawn once per distinct draw consumption, not once
+    per run.  Each looks its world up
     separately so the cache counters tell the true story (1 build +
     N-1 reuses for an N-run group); all but the first are in-memory
     hits.
@@ -218,8 +220,8 @@ class BatchExecutor:
     The default backend: runs are grouped by
     :meth:`~repro.fleet.sweep.RunSpec.build_key`, each group compiles
     its world once (or pulls it from the cache), and every member
-    replays only the sampling phase — sharing bit-identical per-cell
-    RTT blocks through one per-group block cache.  A campaign-only
+    replays only the sampling phase — sharing each cell's random draws
+    (its draw tape) through one per-group block cache.  A campaign-only
     sweep of any width performs exactly one build.
 
     With ``jobs > 1`` and at least two groups, every group but the

@@ -234,6 +234,12 @@ class FleetStore:
         path.parent.mkdir(parents=True, exist_ok=True)
         return self._write_text_atomic(path, record.to_json() + "\n")
 
+    def read_record(self, run_id: str) -> RunRecord:
+        """The stored record of ``run_id``; ``OSError`` when there is
+        none, ``ValueError`` when it does not parse."""
+        path = self.directory / RUNS_DIR / f"{run_id}.json"
+        return RunRecord.from_json(path.read_text())
+
     def existing_records(self) -> dict[str, RunRecord]:
         """Parseable run records already on disk, keyed by run id.
 

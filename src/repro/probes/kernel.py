@@ -14,25 +14,45 @@ random draw:
    vectorised serving matrix, per-gNB air constants, per-gateway UPF
    queue parameters, backhaul delays,
    :class:`~repro.net.pathkernel.CompiledPath` tables for every
-   (gateway, target) route, and the dataset *template* (times, cells,
+   (gateway, target) route, the per-row layout tables (serving gNB,
+   air slot, backhaul, peer) and the dataset *template* (times, cells,
    target ids — everything but the RTT column).  Picklable, so a
    compiled scenario can carry it across process boundaries and disk.
-2. :func:`sample_run` — one tight loop over measurements that makes
-   *exactly* the stochastic draws of the scalar pipeline, in the same
-   order, on the same named streams, with the same float operation
-   order.  Only sampling-layer values (per-run loads, handover knobs,
-   peer radio situations) are read from the campaign config here.
+2. :func:`sample_run` — per cell, one scalar loop that makes *exactly*
+   the stochastic draws of the scalar pipeline, in the same order, on
+   the same named streams, and records them as that cell's draw *tape*;
+   then one numpy pass over all rows that turns the tapes into the RTT
+   column with the scalar pipeline's float operation order.  Only
+   sampling-layer values (per-run loads, handover knobs, peer radio
+   situations) are read from the campaign config here.
 
 **Batched multi-run sampling.**  Per-cell streams are derived purely
 from ``(seed, stream name, cell label)``, so across runs that share a
 build (same spec build layers, seed, density) each cell's fresh streams
-are identical.  If a cell's complete sampling-parameter fingerprint —
-per-gNB clamped loads, handover knobs, and the peer radio situation —
-also matches, the cell's whole RTT block is bit-identical and
-:func:`sample_run` can copy it from a shared ``block_cache`` instead of
-re-drawing.  A campaign-only sweep typically perturbs a few cells per
-variant, so most blocks are shared; the scalar draw loop remains the
-oracle for every block computed.
+are identical.  What a cell *consumes* from them depends on far less
+than its RTTs do:
+
+* ``campaign.net`` — build layer only (UPF constants, compiled paths,
+  peer gateways);
+* ``campaign.air`` — the build layer, plus whether each serving gNB's
+  clamped load is zero and, per peer target, whether its ``air_load``
+  is zero, its BLER (from ``sinr_db``) and the air constants of the
+  ``peer_site_index`` site.  Loads enter
+  only as the M/D/1 mean scaling an exponential, and
+  ``Generator.exponential(q)`` is bitwise ``q * standard_exponential()``
+  on the same stream, so the tape keeps the standard draw and each run
+  scales it by its own mean;
+* ``campaign.handover`` — ``p_ho`` only; the interruption scales the
+  recorded draw afterwards.
+
+So a shared ``block_cache`` maps ``(cell label, draw-consumption key)``
+to that cell's tapes, and every run of a build-key group whose cell
+keys match draws nothing for that cell.  A sweep over loads, load caps,
+peer air loads or interruptions draws each cell once.  numpy float64
+element-wise ``+``/``*`` round exactly like Python floats, and
+conditional terms are selected with ``np.where`` (never added as a
+placeholder ``0.0``), so the vectorised pass is bit-identical to the
+scalar one.
 
 The output dataset is bit-identical to the scalar path — guarded by
 ``tests/test_campaign_kernel.py``, the batched-equivalence suite, and
@@ -65,7 +85,7 @@ _PRECOMPUTE_COUNT = 0
 
 
 def precompute_count() -> int:
-    """How many kernel precomputes this process performed."""
+    """How many kernel precomputations this process performed."""
     return _PRECOMPUTE_COUNT
 
 
@@ -135,67 +155,60 @@ def _sample_upf(rng, p: _UpfParams) -> float:
     return w + p.service_s
 
 
-def _sample_air_rtt(rng, p: _AirParams, load: float,
-                    queue_mean: float, bler: float) -> float:
-    """Replica of ``AirInterface.sample_rtt`` (UL + DL) draws.
+# Tape layout: one float64 row per recorded quantity, one column per
+# dataset row of the cell.  An air RTT (own at 0, the peer's at
+# ``_PEER``; all zeros for a wired target) keeps six entries: each
+# direction's partial sum up to the load-dependent queueing term, the
+# standard-exponential draw that term scales (0.0 when no draw was
+# made), and the HARQ term.
+_UL_PRE, _UL_EXP, _UL_RETX, _DL_PRE, _DL_EXP, _DL_RETX = range(6)
+_PEER = 6
+#: ``2 * own UPF latency`` and the net leg (wired round trip plus
+#: forwarding, or a peer's transit plus ``2 * peer UPF latency``)
+_UPF, _LEG = 12, 13
+#: the handover factor ``0.5 + 0.5 r`` when the interruption lands,
+#: else 0.0
+_HO = 14
+_TAPE_ROWS = 15
+_NO_PEER_AIR = (0.0,) * 6
 
-    ``queue_mean`` is the precomputed M/D/1 wait for ``load`` (unused
-    when ``load`` is zero); ``bler`` the precomputed block error rate
-    for the measurement's SINR.
 
-    ``Generator.uniform(0, h)`` computes ``h * next_double`` — the
-    expanded ``h * random()`` form below is bitwise- and
-    stream-equivalent at a third of the call overhead (guarded, like
-    every equivalence this module relies on, by the kernel-vs-scalar
-    and golden-digest tests).
-    """
-    random = rng.random
-    exponential = rng.exponential
-    # Uplink.
-    delay = p.proc_base
-    if not p.configured_grant:
-        delay += p.sr_span * random()       # SR wait ~ U(0, sr period)
-        delay += p.grant_s
-    delay += p.slot * random()              # frame alignment ~ U(0, slot)
-    if load != 0.0:
-        delay += float(exponential(queue_mean))
-    delay += p.slot
-    retx = 0
-    if bler > 0.0:
-        while retx < p.max_retx and random() < bler:
-            retx += 1
-    delay += retx * p.harq_rtt_slots * p.slot
-    uplink = delay
-    # Downlink.
-    delay = p.proc_base + p.slot * random()
-    if load != 0.0:
-        delay += float(exponential(queue_mean))
-    delay += p.slot
-    retx = 0
-    if bler > 0.0:
-        while retx < p.max_retx and random() < bler:
-            retx += 1
-    delay += retx * p.harq_rtt_slots * p.slot
-    return uplink + delay
+def _air_rtt(tape: np.ndarray, at: int, queued: np.ndarray,
+             qmean: np.ndarray, slot) -> np.ndarray:
+    """The air RTTs of ``tape[at:at + 6]`` in the scalar op order."""
+    ul = tape[at + _UL_PRE]
+    ul = np.where(queued, ul + qmean * tape[at + _UL_EXP], ul)
+    ul += slot
+    ul += tape[at + _UL_RETX]
+    dl = tape[at + _DL_PRE]
+    dl = np.where(queued, dl + qmean * tape[at + _DL_EXP], dl)
+    dl += slot
+    dl += tape[at + _DL_RETX]
+    return ul + dl
 
 
 @dataclass(frozen=True)
 class _CellBlock:
-    """One cell's slice of the campaign, in route-encounter order."""
+    """One cell's slice of the campaign, in route-encounter order.
+
+    A block's dataset rows are contiguous and follow the previous
+    block's: one per sample x target, sample-major.
+    """
 
     cell: CellId
     label: str
-    targets: tuple[str, ...]
-    #: targets that resolve to mobile peers (subset of ``targets``)
-    peer_targets: tuple[str, ...]
+    #: per target: ``(None, wired path, forwarding delay)`` or
+    #: ``(peer name, transit path or None, peer gateway UPF)``
+    legs: tuple[tuple, ...]
+    #: indexes of the block's peer targets in ``peer_target_names``
+    peer_slots: tuple[int, ...]
     gateway_name: str
-    gateway_node: str
-    #: distinct serving gNB names in the block, first-seen order
+    #: distinct serving gNB names in the block, first-seen order; the
+    #: block's (cell, gNB) load pairs start at ``pair_start``
     gnb_names: tuple[str, ...]
+    pair_start: int
     #: indexes into the global sample order (route-walk order)
     sample_indices: tuple[int, ...]
-    #: dataset rows this block fills (one per sample x target)
-    row_indices: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -214,24 +227,30 @@ class KernelPrecompute:
     gnb_names: tuple[str, ...]
     #: per-gNB sampling constants, keyed by gNB name
     air_params: dict[str, _AirParams]
-    #: per-gNB base scheduler load
-    gnb_load: dict[str, float]
     #: per-gateway UPF queue constants, keyed by gateway name
     upf_params: dict[str, _UpfParams]
     #: round-trip backhaul seconds per (gNB name, gateway name)
     backhaul2: dict[tuple[str, str], float]
-    #: gateway name -> topology node name
-    gateway_node: dict[str, str]
-    #: compiled internet paths per (gateway node, wired target)
-    wired: dict[tuple[str, str], tuple[CompiledPath, float]]
-    #: compiled transit paths per (own gateway node, peer gateway node)
-    transit: dict[tuple[str, str], CompiledPath]
+    #: gateways with tables, in ``upf_params`` order
+    gateway_names: tuple[str, ...]
     #: peer-resolving target names, first-appearance order
     peer_target_names: tuple[str, ...]
     #: per-sample serving gNB name, aligned with the route walk
     sample_gnb: tuple[str, ...]
     #: per-sample precomputed block error rate (serving SINR + config)
-    sample_bler: np.ndarray
+    sample_bler: tuple[float, ...]
+    #: per (cell, serving gNB) pair: its block, base load, M/D/1 quantum
+    pair_block: np.ndarray
+    pair_load: np.ndarray
+    pair_service: np.ndarray
+    #: per-row layout: load pair, own air slot, own round-trip
+    #: backhaul, peer slot (-1 for wired targets) and peer gateway
+    #: index into ``gateway_names``
+    row_pair: np.ndarray
+    row_slot: np.ndarray
+    row_backhaul: np.ndarray
+    row_peer: np.ndarray
+    row_peer_gw: np.ndarray
     #: dataset template: every column except the RTTs
     times: np.ndarray
     cols: np.ndarray
@@ -239,14 +258,90 @@ class KernelPrecompute:
     target_col: np.ndarray
     targets: tuple[str, ...]
 
-    @property
-    def row_count(self) -> int:
-        return int(self.times.shape[0])
-
 
 #: ``stream_factory(*name_parts) -> Generator`` — either a registry's
 #: (position-preserving) ``stream`` or a per-run fresh-stream factory.
 StreamFactory = Callable[..., np.random.Generator]
+
+
+def _draw_tape(pre: KernelPrecompute, block: _CellBlock,
+               stream_factory: StreamFactory, queued: tuple[bool, ...],
+               peer_draws: dict[str, tuple], p_ho: float) -> np.ndarray:
+    """One cell's draws, in the scalar pipeline's order, as its tape.
+
+    ``queued`` flags, per ``block.gnb_names``, a non-zero clamped load
+    (an own-air queueing draw); ``peer_draws`` maps each peer target to
+    its ``(air params, queued, bler)``.
+
+    The air draws replicate ``AirInterface.sample_rtt`` (UL + DL).
+    ``Generator.uniform(0, h)`` computes ``h * next_double``, so the
+    expanded ``h * random()`` form is bitwise- and stream-equivalent at
+    a third of the call overhead; ``exponential(q)`` is likewise
+    ``q * standard_exponential()`` (pinned on its own in
+    ``tests/test_campaign_kernel.py``; like every equivalence this
+    module relies on, also guarded by the kernel-vs-scalar and
+    golden-digest tests).  The loop is inlined: it is the kernel's hot
+    path.
+    """
+    rng_air = stream_factory("campaign.air", block.label)
+    rng_net = stream_factory("campaign.net", block.label)
+    rng_ho = stream_factory("campaign.handover", block.label)
+    random = rng_air.random
+    exponential = rng_air.standard_exponential
+    ho_random = rng_ho.random
+    own_upf = pre.upf_params[block.gateway_name]
+    queued_by_gnb = dict(zip(block.gnb_names, queued))
+    tape: list[float] = []
+    extend = tape.extend
+    for i in block.sample_indices:
+        gname = pre.sample_gnb[i]
+        own = (pre.air_params[gname], queued_by_gnb[gname],
+               pre.sample_bler[i])
+        for peer_name, path, const in block.legs:
+            # Own radio access, then (for a peer target) the peer's.
+            for p, draws_queue, bler in (
+                    (own,) if peer_name is None
+                    else (own, peer_draws[peer_name])):
+                ul = p.proc_base
+                if not p.configured_grant:
+                    ul += p.sr_span * random()    # SR wait ~ U(0, period)
+                    ul += p.grant_s
+                ul += p.slot * random()           # alignment ~ U(0, slot)
+                ul_exp = exponential() if draws_queue else 0.0
+                retx = 0
+                if bler > 0.0:
+                    while retx < p.max_retx and random() < bler:
+                        retx += 1
+                ul_retx = retx * p.harq_rtt_slots * p.slot
+                dl = p.proc_base + p.slot * random()
+                dl_exp = exponential() if draws_queue else 0.0
+                retx = 0
+                if bler > 0.0:
+                    while retx < p.max_retx and random() < bler:
+                        retx += 1
+                extend((ul, ul_exp, ul_retx, dl, dl_exp,
+                        retx * p.harq_rtt_slots * p.slot))
+            # Own core leg.
+            upf = 2.0 * _sample_upf(rng_net, own_upf)
+            if peer_name is None:
+                # Policy-routed internet to a wired target.
+                extend(_NO_PEER_AIR)
+                leg = path.sample_round_trip(rng_net)
+                leg += const
+            else:
+                # Hairpin to a mobile peer: the peer's backhaul and air
+                # terms join per run.
+                leg = 0.0
+                if path is not None:
+                    leg += path.sample_round_trip(rng_net)
+                leg += 2.0 * _sample_upf(rng_net, const)
+            # Handover interruption landing in the window.
+            # 0.5 + 0.5*r is the expanded uniform(0.5, 1.0).
+            ho = 0.0
+            if p_ho > 0.0 and ho_random() < p_ho:
+                ho = 0.5 + 0.5 * ho_random()
+            extend((upf, leg, ho))
+    return np.array(tape, dtype=np.float64).reshape(-1, _TAPE_ROWS).T.copy()
 
 
 def sample_run(pre: KernelPrecompute, config: "CampaignConfig",
@@ -257,122 +352,91 @@ def sample_run(pre: KernelPrecompute, config: "CampaignConfig",
     Reads only sampling-layer values from ``config``; every stochastic
     draw replicates the scalar pipeline on the streams
     ``stream_factory`` hands out.  With a ``block_cache`` (shared
-    across runs of one build group), a cell whose sampling fingerprint
-    matches an earlier run copies that run's RTT block instead of
+    across runs of one build group), a cell whose draw-consumption key
+    matches an earlier run reuses that run's tape instead of
     re-drawing — bit-identical because per-cell streams restart from
-    the same state for every run of the group.
+    the same state for every run of the group.  The cache gains one
+    entry per cell drawn afresh.
     """
-    bler_of = ChannelModel.bler
     interruption = config.handover_interruption_s
-    peers = config.peers
+    handover_prob = config.handover_prob
     extra_load = config.cell_extra_load
-    max_load = config.max_cell_load
     peer_gnb_name = pre.gnb_names[config.peer_site_index]
     peer_params = pre.air_params[peer_gnb_name]
 
-    # Per-run peer constants (sampling layer: air_load/sinr_db/site).
-    peer_meta: dict[str, tuple] = {}
-    for name in pre.peer_target_names:
-        peer = peers[name]
-        peer_meta[name] = (
-            peer,
-            md1_wait(peer.air_load, peer_params.buffer_service_s)
-            if peer.air_load != 0.0 else 0.0,
-            bler_of(peer.sinr_db, target_bler=peer_params.target_bler),
-        )
+    # Per-(cell, gNB) clamped loads and M/D/1 means.  CampaignConfig
+    # keeps max_cell_load in (0, 1), so every clamped load is a valid
+    # utilisation.
+    extra = np.array([extra_load.get(block.cell, 0.0)
+                      for block in pre.blocks], dtype=np.float64)
+    load = np.clip(pre.pair_load + extra[pre.pair_block], 0.0,
+                   config.max_cell_load)
+    queued = load != 0.0
+    qmean = load / (2.0 * (1.0 - load)) * pre.pair_service   # md1_wait
 
-    rtts = np.empty(pre.row_count, dtype=np.float64)
+    # Per-run peer constants (sampling layer: air_load/sinr_db/site);
+    # the trailing entry stands in for wired rows (peer slot -1).
+    peer_count = len(pre.peer_target_names)
+    peer_queued = np.zeros(peer_count + 1, dtype=bool)
+    peer_qmean = np.zeros(peer_count + 1, dtype=np.float64)
+    peer_keys: list[tuple[bool, float]] = []
+    peer_draws: dict[str, tuple] = {}
+    for slot, name in enumerate(pre.peer_target_names):
+        peer = config.peers[name]
+        peer_on = peer.air_load != 0.0
+        if peer_on:
+            peer_queued[slot] = True
+            peer_qmean[slot] = md1_wait(peer.air_load,
+                                        peer_params.buffer_service_s)
+        bler = ChannelModel.bler(peer.sinr_db,
+                                 target_bler=peer_params.target_bler)
+        peer_keys.append((peer_on, bler))
+        peer_draws[name] = (peer_params, peer_on, bler)
+
+    queued_flags = queued.tolist()
+    tapes = []
     for block in pre.blocks:
-        p_ho = config.handover_prob.get(block.cell, 0.0)
-        # Per-run per-gNB tables for this cell: clamped load + M/D/1
-        # wait (pure functions — recomputing per cell is bit-identical
-        # to the old global memo).
-        extra = extra_load.get(block.cell, 0.0)
-        loads: dict[str, float] = {}
-        qmeans: dict[str, float] = {}
-        for gname in block.gnb_names:
-            load = float(np.clip(pre.gnb_load[gname] + extra,
-                                 0.0, max_load))
-            loads[gname] = load
-            qmeans[gname] = (
-                md1_wait(load, pre.air_params[gname].buffer_service_s)
-                if load != 0.0 else 0.0)
-
-        cache_key = None
+        p_ho = handover_prob.get(block.cell, 0.0)
+        draws = tuple(queued_flags[
+            block.pair_start:block.pair_start + len(block.gnb_names)])
+        key = None
+        tape = None
         if block_cache is not None:
-            # The complete sampling-layer fingerprint of this block:
-            # equal fingerprints (within one build group) mean every
-            # draw and every float op repeats exactly.
-            cache_key = (
-                block.label,
-                tuple(loads[g] for g in block.gnb_names),
-                p_ho,
-                interruption if p_ho > 0.0 else 0.0,
-                tuple((peers[t].air_load, peers[t].sinr_db)
-                      for t in block.peer_targets),
-                config.peer_site_index if block.peer_targets else 0,
-            )
-            shared = block_cache.get(cache_key)
-            if shared is not None:
-                rtts[block.row_indices] = shared
-                continue
+            # What the cell's streams consume: own-air queueing draws,
+            # handover draws, and the peers' air draws — their
+            # queueing, their BLER and the peer site's air constants
+            # (so peer sites sharing one radio config share tapes).
+            key = (block.label, draws, p_ho,
+                   tuple(peer_keys[j] for j in block.peer_slots),
+                   peer_params if block.peer_slots else None)
+            tape = block_cache.get(key)
+        if tape is None:
+            tape = _draw_tape(pre, block, stream_factory, draws,
+                              peer_draws, p_ho)
+            if block_cache is not None:
+                block_cache[key] = tape
+        tapes.append(tape)
+    tape = np.concatenate(tapes, axis=1) if tapes \
+        else np.empty((_TAPE_ROWS, 0), dtype=np.float64)
 
-        rng_air = stream_factory("campaign.air", block.label)
-        rng_net = stream_factory("campaign.net", block.label)
-        rng_ho = stream_factory("campaign.handover", block.label)
-        own_upf = pre.upf_params[block.gateway_name]
-        block_rtts = np.empty(block.row_indices.shape[0],
-                              dtype=np.float64)
-        pos = 0
-        for i in block.sample_indices:
-            gname = pre.sample_gnb[i]
-            params = pre.air_params[gname]
-            load = loads[gname]
-            qmean = qmeans[gname]
-            own_backhaul = pre.backhaul2[(gname, block.gateway_name)]
-            bler = pre.sample_bler[i]
-            for target in block.targets:
-                # Own radio access + core legs.
-                rtt = _sample_air_rtt(rng_air, params, load, qmean, bler)
-                rtt += own_backhaul
-                rtt += 2.0 * _sample_upf(rng_net, own_upf)
-
-                meta = peer_meta.get(target)
-                if meta is not None:
-                    # Hairpin to a mobile peer.
-                    peer, peer_qmean, peer_bler = meta
-                    leg = 0.0
-                    peer_gw = block.gateway_name \
-                        if peer.gateway is None else peer.gateway
-                    if peer_gw != block.gateway_name:
-                        leg += pre.transit[
-                            (block.gateway_node,
-                             pre.gateway_node[peer_gw])
-                        ].sample_round_trip(rng_net)
-                    leg += 2.0 * _sample_upf(
-                        rng_net, pre.upf_params[peer_gw])
-                    leg += pre.backhaul2[(peer_gnb_name, peer_gw)]
-                    leg += _sample_air_rtt(rng_air, peer_params,
-                                           peer.air_load, peer_qmean,
-                                           peer_bler)
-                    rtt += leg
-                else:
-                    # Policy-routed internet to a wired target.
-                    compiled, forwarding = \
-                        pre.wired[(block.gateway_node, target)]
-                    leg = compiled.sample_round_trip(rng_net)
-                    leg += forwarding
-                    rtt += leg
-
-                # Handover interruption landing in the window.
-                # 0.5 + 0.5*r is the expanded uniform(0.5, 1.0).
-                if p_ho > 0.0 and rng_ho.random() < p_ho:
-                    rtt += interruption * (0.5 + 0.5 * rng_ho.random())
-                block_rtts[pos] = rtt
-                pos += 1
-        if block_cache is not None:
-            block_cache[cache_key] = block_rtts
-        rtts[block.row_indices] = block_rtts
+    # The scalar pipeline's per-measurement sum, over every row at once.
+    rtts = _air_rtt(tape, 0, queued[pre.row_pair], qmean[pre.row_pair],
+                    pre.row_slot)
+    rtts += pre.row_backhaul
+    rtts += tape[_UPF]
+    leg = tape[_LEG]
+    if peer_count:
+        row_peer = pre.row_peer
+        peer_backhaul = np.array([pre.backhaul2[(peer_gnb_name, gw)]
+                                  for gw in pre.gateway_names])
+        peer_air = _air_rtt(tape, _PEER, peer_queued[row_peer],
+                            peer_qmean[row_peer], peer_params.slot)
+        leg = np.where(row_peer >= 0,
+                       (leg + peer_backhaul[pre.row_peer_gw]) + peer_air,
+                       leg)
+    rtts += leg
+    ho = tape[_HO]
+    rtts = np.where(ho > 0.0, rtts + interruption * ho, rtts)
 
     return MeasurementDataset.from_columns(
         pre.times, pre.cols, pre.rows, pre.target_col, pre.targets, rtts)
@@ -442,8 +506,6 @@ class CampaignKernel:
         gnb_load = {g.name: g.load for g in gnbs}
         upf_params: dict[str, _UpfParams] = {}
         backhaul2: dict[tuple[str, str], float] = {}
-        gateway_node = {name: config.gateways[name].node_name
-                        for name in sorted(config.gateways)}
         wired: dict[tuple[str, str], tuple[CompiledPath, float]] = {}
         transit: dict[tuple[str, str], CompiledPath] = {}
 
@@ -466,27 +528,34 @@ class CampaignKernel:
                 targets = config.targets.get(cell, config.default_targets)
                 gateway = camp._gateway_for(cell)
                 gateway_tables(gateway)
-                peer_targets = []
+                legs = []
+                peer_gws: list[Optional[str]] = []
                 for target in targets:
                     peer = config.peers.get(target)
                     if peer is None:
                         key = (gateway.node_name, target)
                         if key not in wired:
                             wired[key] = self._wired_entry(gateway, target)
+                        legs.append((None,) + wired[key])
+                        peer_gws.append(None)
                         continue
-                    peer_targets.append(target)
                     if target not in peer_names:
                         peer_names.append(target)
                     peer_gw = gateway if peer.gateway is None \
                         else config.gateways[peer.gateway]
                     gateway_tables(peer_gw)
+                    path = None
                     if peer_gw.name != gateway.name:
                         tkey = (gateway.node_name, peer_gw.node_name)
                         if tkey not in transit:
                             transit[tkey] = self._transit_entry(
                                 gateway, peer_gw)
+                        path = transit[tkey]
+                    legs.append((target, path, upf_params[peer_gw.name]))
+                    peer_gws.append(peer_gw.name)
                 info = {"targets": tuple(targets),
-                        "peer_targets": tuple(peer_targets),
+                        "legs": tuple(legs),
+                        "peer_gws": peer_gws,
                         "gateway": gateway,
                         "gnb_order": [],
                         "indices": []}
@@ -500,78 +569,112 @@ class CampaignKernel:
         # Per-sample serving constants (pure functions of the build).
         sample_gnb = tuple(serving[i][0].name
                            for i in range(len(samples)))
-        sample_bler = np.empty(len(samples), dtype=np.float64)
-        for i in range(len(samples)):
-            gnb, sinr_db = serving[i]
-            sample_bler[i] = bler_of(
-                sinr_db, target_bler=air_params[gnb.name].target_bler)
+        sample_bler = tuple(
+            float(bler_of(sinr_db, target_bler=air_params[gnb.name]
+                          .target_bler))
+            for gnb, sinr_db in serving)
 
-        # The dataset template: every column but the RTTs, in exactly
-        # the order the scalar pipeline's ``add`` loop appends rows.
-        total_rows = sum(
-            len(cell_info[c]["indices"]) * len(cell_info[c]["targets"])
-            for c in cell_order)
-        times = np.empty(total_rows, dtype=np.float64)
-        cols = np.empty(total_rows, dtype=np.int32)
-        rows_arr = np.empty(total_rows, dtype=np.int32)
-        target_col = np.empty(total_rows, dtype=np.int32)
-        targets_list: list[str] = []
+        # Blocks, load pairs and the per-row layout.  Rows run block by
+        # block, sample-major within a block — exactly the order the
+        # scalar pipeline's ``add`` loop appends them.
+        gateway_names = tuple(upf_params)
+        gateway_index = {name: k for k, name in enumerate(gateway_names)}
+        peer_index = {name: k for k, name in enumerate(peer_names)}
         target_ids: dict[str, int] = {}
         blocks: list[_CellBlock] = []
-        row = 0
-        for cell in cell_order:
+        pair_block: list[int] = []
+        pair_gnbs: list[str] = []
+        sample_order: list[int] = []
+        sample_pair: list[int] = []
+        sample_reps: list[int] = []
+        sample_gw: list[str] = []
+        # Per-target values, one copy per sample of the block.
+        target_col: list[int] = []
+        row_peer: list[int] = []
+        row_peer_gw: list[int] = []
+        for b, cell in enumerate(cell_order):
             info = cell_info[cell]
-            start = row
-            for i in info["indices"]:
-                t = samples[i].time
-                for target in info["targets"]:
-                    tid = target_ids.get(target)
-                    if tid is None:
-                        tid = len(targets_list)
-                        targets_list.append(target)
-                        target_ids[target] = tid
-                    times[row] = t
-                    cols[row] = cell.col
-                    rows_arr[row] = cell.row
-                    target_col[row] = tid
-                    row += 1
             gateway = info["gateway"]
+            pair_of = {gname: len(pair_gnbs) + k
+                       for k, gname in enumerate(info["gnb_order"])}
             blocks.append(_CellBlock(
                 cell=cell, label=cell.label,
-                targets=info["targets"],
-                peer_targets=info["peer_targets"],
+                legs=info["legs"],
+                peer_slots=tuple(peer_index[leg[0]] for leg in info["legs"]
+                                 if leg[0] is not None),
                 gateway_name=gateway.name,
-                gateway_node=gateway.node_name,
                 gnb_names=tuple(info["gnb_order"]),
+                pair_start=len(pair_gnbs),
                 sample_indices=tuple(info["indices"]),
-                row_indices=np.arange(start, row),
             ))
-        t3 = time.perf_counter()
+            pair_block.extend([b] * len(info["gnb_order"]))
+            pair_gnbs.extend(info["gnb_order"])
+            for target in info["targets"]:
+                target_ids.setdefault(target, len(target_ids))
+            count = len(info["indices"])
+            sample_order.extend(info["indices"])
+            sample_pair.extend(pair_of[sample_gnb[i]]
+                               for i in info["indices"])
+            sample_reps.extend([len(info["targets"])] * count)
+            sample_gw.extend([gateway.name] * count)
+            target_col.extend(
+                [target_ids[t] for t in info["targets"]] * count)
+            row_peer.extend([-1 if leg[0] is None else peer_index[leg[0]]
+                             for leg in info["legs"]] * count)
+            row_peer_gw.extend([0 if gw is None else gateway_index[gw]
+                                for gw in info["peer_gws"]] * count)
 
+        # Per-sample values in row order, repeated once per target.
+        reps = np.array(sample_reps, dtype=np.intp)
+        ordered = [samples[i] for i in sample_order]
+        ordered_gnb = [sample_gnb[i] for i in sample_order]
+
+        def per_row(values, dtype) -> np.ndarray:
+            return np.repeat(np.array(values, dtype=dtype), reps)
+
+        times = per_row([s.time for s in ordered], np.float64)
+        cols = per_row([s.cell.col for s in ordered], np.int32)
+        rows_arr = per_row([s.cell.row for s in ordered], np.int32)
+        row_slot = per_row([air_params[g].slot for g in ordered_gnb],
+                           np.float64)
+        row_backhaul = per_row(
+            [backhaul2[(g, gw)] for g, gw in zip(ordered_gnb, sample_gw)],
+            np.float64)
+
+        pre = KernelPrecompute(
+            blocks=tuple(blocks),
+            gnb_names=gnb_names,
+            air_params=air_params,
+            upf_params=upf_params,
+            backhaul2=backhaul2,
+            gateway_names=gateway_names,
+            peer_target_names=tuple(peer_names),
+            sample_gnb=sample_gnb,
+            sample_bler=sample_bler,
+            pair_block=np.array(pair_block, dtype=np.intp),
+            pair_load=np.array([gnb_load[g] for g in pair_gnbs],
+                               dtype=np.float64),
+            pair_service=np.array(
+                [air_params[g].buffer_service_s for g in pair_gnbs],
+                dtype=np.float64),
+            row_pair=per_row(sample_pair, np.intp),
+            row_slot=row_slot,
+            row_backhaul=row_backhaul,
+            row_peer=np.array(row_peer, dtype=np.intp),
+            row_peer_gw=np.array(row_peer_gw, dtype=np.intp),
+            times=times,
+            cols=cols,
+            rows=rows_arr,
+            target_col=np.array(target_col, dtype=np.int32),
+            targets=tuple(target_ids),
+        )
+        t3 = time.perf_counter()
         self.stage_seconds = {
             "route_walk": t1 - t0,
             "serving_matrix": t2 - t1,
             "tables": t3 - t2,
         }
-        return KernelPrecompute(
-            blocks=tuple(blocks),
-            gnb_names=gnb_names,
-            air_params=air_params,
-            gnb_load=gnb_load,
-            upf_params=upf_params,
-            backhaul2=backhaul2,
-            gateway_node=gateway_node,
-            wired=wired,
-            transit=transit,
-            peer_target_names=tuple(peer_names),
-            sample_gnb=sample_gnb,
-            sample_bler=sample_bler,
-            times=times,
-            cols=cols,
-            rows=rows_arr,
-            target_col=target_col,
-            targets=tuple(targets_list),
-        )
+        return pre
 
     # -- execution ----------------------------------------------------------
 

@@ -678,6 +678,11 @@ class FleetBroker:
                              "fleet_id": fleet.fleet_id,
                              "total": len(fleet.slots),
                              "wall_s": fleet.finished - fleet.created})
+        # Release the records: every one is in the fleet store, which
+        # serves later reads (:meth:`slots`, :meth:`record`), so a
+        # long-lived server does not keep every finished fleet.
+        for slot in fleet.slots:
+            slot.record = None
 
     # -- durability -------------------------------------------------------
 
@@ -967,19 +972,42 @@ class FleetBroker:
                 if remaining <= 0:
                     break
                 self._cond.wait(min(remaining, 0.5))
-            return ([slot.to_dict() for slot in fleet.slots[since:]],
-                    fleet.complete)
+            complete = fleet.complete
+            store = fleet.store
+            slots = [slot.to_dict(with_record=not complete)
+                     for slot in fleet.slots[since:]]
+        if complete:
+            # A complete fleet's records live only in its store, and
+            # nothing changes them any more: read them unlocked.
+            for payload in slots:
+                payload["record"] = self._stored_record(
+                    store, payload["run_id"]).to_dict()
+        return slots, complete
 
     def record(self, fleet_id: str, run_id: str) -> RunRecord:
         with self._cond:
             fleet = self._fleet(fleet_id)
-            for slot in fleet.slots:
-                if slot.run.run_id == run_id:
-                    if slot.record is None:
-                        raise LookupError(
-                            f"run {run_id!r} has no record yet")
-                    return slot.record
-        raise LookupError(f"unknown run {run_id!r} in {fleet_id!r}")
+            slot = next((slot for slot in fleet.slots
+                         if slot.run.run_id == run_id), None)
+            if slot is None:
+                raise LookupError(
+                    f"unknown run {run_id!r} in {fleet_id!r}")
+            if slot.record is not None:
+                return slot.record
+            if not fleet.complete:
+                raise LookupError(f"run {run_id!r} has no record yet")
+            store = fleet.store
+        return self._stored_record(store, run_id)
+
+    @staticmethod
+    def _stored_record(store: FleetStore, run_id: str) -> RunRecord:
+        """A released record, read back from its fleet store."""
+        try:
+            return store.read_record(run_id)
+        except (OSError, ValueError) as exc:
+            raise LookupError(
+                f"run {run_id!r}: stored record unreadable: {exc}"
+            ) from None
 
     def events_since(self, fleet_id: str, index: int, *,
                      wait_s: float = 0.0

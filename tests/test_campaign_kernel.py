@@ -7,11 +7,15 @@ byte-for-byte identical datasets.  These tests are the enforcement
 mechanism for every precompute/vectorisation trick the kernel plays.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.probes.kernel import CampaignKernel
-from repro.scenarios import build, get
+from repro.core.compiled import CompiledScenario
+from repro.probes.kernel import CampaignKernel, sample_run
+from repro.scenarios import build, get, klagenfurt
+from repro.sim.rng import RngRegistry
 
 
 def run_both(name: str, seed: int, density: float):
@@ -73,3 +77,104 @@ def test_kernel_leaves_streams_where_scalar_does():
         a = sc_scalar.rng.stream(*key).random()
         b = sc_kernel.rng.stream(*key).random()
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Draw tapes: the numpy identity they rest on, and their cache keys
+# ---------------------------------------------------------------------------
+
+#: Start of the ziggurat's tail region for the standard exponential:
+#: draws beyond it come from the slow tail path.
+ZIGGURAT_EXP_R = 7.69711747013104972
+
+
+def test_exponential_is_scaled_standard_exponential():
+    """The tapes keep ``standard_exponential()`` and scale it per run:
+    ``Generator.exponential(q)`` must equal ``q * standard_exponential()``
+    bit for bit and consume the stream identically, slow paths too."""
+    scales = [0.0, 1e-9, 2.4e-3, 0.0125, 1.0, 3.7e4]
+    a = np.random.Generator(np.random.PCG64(20240917))
+    b = np.random.Generator(np.random.PCG64(20240917))
+    tail = 0
+    for i in range(200_000):
+        q = scales[i % len(scales)]
+        x = a.exponential(q)
+        e = b.standard_exponential()
+        assert x == q * e
+        tail += e > ZIGGURAT_EXP_R
+        # Interleaved uniforms: any difference in consumption shows.
+        assert a.random() == b.random()
+    assert tail > 0   # the tail path was exercised
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def _tape_variants(base):
+    """One variant per draw-consumption key component, on top of a
+    base where cell B2 (served by one gNB) has zero clamped load."""
+    anchors = [list(pair) for pair in base.campaign.extra_load_anchors]
+    zero = base.with_overrides(
+        {"campaign.extra_load_anchors": anchors + [["B2", -0.9]]})
+    return [
+        zero,
+        # zero-load site made non-zero
+        base.with_overrides(
+            {"campaign.extra_load_anchors": anchors + [["B2", 0.1]]}),
+        zero.with_overrides({"campaign.peers.0.air_load": 0.0}),
+        zero.with_overrides({"campaign.peers.0.air_load": 0.4}),
+        zero.with_overrides({"campaign.peers.0.sinr_db": 3.0}),
+        zero.with_overrides({"campaign.peer_site_index": 2}),
+        zero.with_overrides({"campaign.handover_prob": []}),
+        zero.with_overrides({"campaign.handover_prob":
+                             [["E5", 0.35], ["B2", 0.6], ["C3", 0.9]]}),
+        zero.with_overrides({"campaign.max_cell_load": 0.3}),
+        zero.with_overrides({"campaign.handover_interruption_s": 0.11,
+                             "campaign.max_cell_load": 0.3}),
+    ]
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+def test_shared_tapes_match_the_scalar_oracle(order):
+    """One ``block_cache`` across variants that flip every component
+    of the draw-consumption key: each run must still equal the scalar
+    pipeline (``run(kernel=False)``) bit for bit."""
+    seed, density = 42, 2.0
+    variants = _tape_variants(klagenfurt())
+    if order == "reverse":
+        variants = variants[::-1]
+    compiled = CompiledScenario(variants[0], seed=seed, density=density)
+    cache = {}
+    for variant in variants:
+        scalar = build(variant, seed=seed).campaign(density).run(
+            kernel=False)
+        taped = sample_run(compiled.precompute,
+                           compiled._variant_config(variant),
+                           RngRegistry(seed).stream, cache)
+        assert_datasets_identical(scalar, taped)
+    # Some cells were redrawn, most were shared; B2 was drawn both
+    # without and with own-air queueing.
+    cells = len(compiled.precompute.blocks)
+    assert cells < len(cache) < cells * len(variants) // 2
+    assert {key[1] for key in cache if key[0] == "B2"} == {(False,),
+                                                           (True,)}
+
+
+def test_tapes_are_keyed_by_the_peer_sites_air_constants():
+    """Specs give every site one radio config, so only a precompute
+    with a distinct config on one site can show that a tape drawn for
+    one peer site is not reused for another: shared-cache runs must
+    equal fresh ones."""
+    spec = klagenfurt()
+    compiled = CompiledScenario(spec, seed=42, density=2.0)
+    pre = compiled.precompute
+    other = pre.gnb_names[2]
+    pre = dataclasses.replace(pre, air_params={
+        **pre.air_params,
+        other: dataclasses.replace(pre.air_params[other],
+                                   configured_grant=True)})
+    cache = {}
+    for site in (0, 2, 0):
+        config = compiled._variant_config(
+            spec.with_overrides({"campaign.peer_site_index": site}))
+        shared = sample_run(pre, config, RngRegistry(42).stream, cache)
+        fresh = sample_run(pre, config, RngRegistry(42).stream, None)
+        assert_datasets_identical(fresh, shared)

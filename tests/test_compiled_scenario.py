@@ -170,6 +170,25 @@ def test_corrupt_disk_entry_is_detected_and_rebuilt(tmp_path, corruption):
         spec, SEED, DENSITY).build_key == compiled.build_key
 
 
+def test_stale_schema_disk_entry_is_a_counted_miss(tmp_path, monkeypatch):
+    """An entry pickled under an older ``CompiledScenario.SCHEMA`` is
+    rejected (counted as corrupt), deleted and rebuilt."""
+    spec = klagenfurt()
+    directory = tmp_path / COMPILED_DIR
+    CompiledScenarioCache(directory).get(spec, SEED, DENSITY)
+    monkeypatch.setattr(CompiledScenario, "SCHEMA",
+                        CompiledScenario.SCHEMA + 1)
+    cache = CompiledScenarioCache(directory)
+    compiled = cache.get(spec, SEED, DENSITY)
+    assert cache.stats.corrupt == 1 and cache.stats.builds == 1
+    assert cache.stats.disk_hits == 0
+    assert compiled.schema == CompiledScenario.SCHEMA
+    # The rebuilt entry is current and serves the next process.
+    revived = CompiledScenarioCache(directory)
+    revived.get(spec, SEED, DENSITY)
+    assert revived.stats.disk_hits == 1 and revived.stats.corrupt == 0
+
+
 def test_lru_capacity_bounds_the_memory_tier():
     spec = klagenfurt()
     cache = CompiledScenarioCache(capacity=1)

@@ -282,6 +282,39 @@ def test_broker_requeues_reported_failures_immediately(
     assert again.run["run_id"] == grant.run["run_id"]
 
 
+def test_broker_releases_a_complete_fleets_records(
+        broker, sweep, runs, serial_records):
+    """Completing a fleet drops its records from memory; later
+    ``slots``/``record`` reads come from the fleet store and are
+    byte-identical to the answers given while the records were held."""
+    ack = broker.submit_sweep(sweep)
+    first = broker.lease("w1")
+    _post(broker, first, serial_records[first.run["run_id"]])
+    held_slots, complete = broker.slots(ack.fleet_id)
+    assert not complete
+    held = json.dumps(held_slots[0], sort_keys=False)
+    held_record = broker.record(ack.fleet_id, first.run["run_id"])
+    last = broker.lease("w1")
+    _post(broker, last, serial_records[last.run["run_id"]])
+
+    with broker._cond:
+        fleet = broker._fleets[ack.fleet_id]
+        assert fleet.complete
+        assert all(slot.record is None for slot in fleet.slots)
+    slots, complete = broker.slots(ack.fleet_id)
+    assert complete
+    assert json.dumps(slots[0], sort_keys=False) == held
+    assert [slot["record"] for slot in slots] == \
+        [serial_records[run.run_id].to_dict() for run in runs]
+    assert broker.slots(ack.fleet_id, since=1)[0] == slots[1:]
+    assert broker.record(ack.fleet_id, first.run["run_id"]).to_json() \
+        == held_record.to_json()
+    assert broker.record(ack.fleet_id, last.run["run_id"]).to_json() \
+        == serial_records[last.run["run_id"]].to_json()
+    with pytest.raises(LookupError, match="unknown run"):
+        broker.record(ack.fleet_id, "no-such-run")
+
+
 def test_broker_prefills_from_the_shared_cache(tmp_path, clock, sweep,
                                                runs, serial_records):
     cache = ResultCache(tmp_path / "cache")
