@@ -54,6 +54,13 @@ from . import __version__
 # command it runs.
 
 
+def _print_error(exc: Exception) -> None:
+    """Report bad user input as one ``error:`` line on stderr."""
+    # A KeyError's str() quotes its message; print the message itself.
+    message = exc.args[0] if isinstance(exc, KeyError) else exc
+    print(f"error: {message}", file=sys.stderr)
+
+
 def _resolve_spec(args: argparse.Namespace):
     """The selected spec, or a clean CLI error for bad user input."""
     from . import scenarios
@@ -63,8 +70,7 @@ def _resolve_spec(args: argparse.Namespace):
             return scenarios.load_spec(args.spec)
         return scenarios.get(args.scenario)
     except (KeyError, OSError, TypeError, ValueError) as exc:
-        message = exc.args[0] if isinstance(exc, KeyError) else exc
-        print(f"error: {message}", file=sys.stderr)
+        _print_error(exc)
         return None
 
 
@@ -74,8 +80,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     scenario = _resolve_spec(args)
     if scenario is None:
         return 2
-    result = InfrastructureEvaluation(seed=args.seed,
-                                      scenario=scenario).run()
+    try:
+        # A spec that loads can still fail to build: a cell assigned to
+        # an unknown gateway, or a target no route reaches.
+        result = InfrastructureEvaluation(seed=args.seed,
+                                          scenario=scenario).run()
+    except (LookupError, ValueError) as exc:
+        _print_error(exc)
+        return 2
     print(result.figure2(), end="\n\n")
     print(result.figure3(), end="\n\n")
     print(result.table1(), end="\n\n")
@@ -185,8 +197,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                cache=cache, out=args.out or None,
                                progress=progress_fn)
     except (KeyError, OSError, TypeError, ValueError) as exc:
-        message = exc.args[0] if isinstance(exc, KeyError) else exc
-        print(f"error: {message}", file=sys.stderr)
+        _print_error(exc)
         return 2
     print()
     print(fleet_summary(result))
@@ -221,8 +232,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                                    baseline=args.baseline or None)
     except (FileNotFoundError, KeyError, OSError, TypeError,
             ValueError) as exc:
-        message = exc.args[0] if isinstance(exc, KeyError) else exc
-        print(f"error: {message}", file=sys.stderr)
+        _print_error(exc)
         return 2
     if args.json:
         print(comparison.to_json())

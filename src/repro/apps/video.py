@@ -41,10 +41,6 @@ class VideoStreamConfig:
         """Frame update cycle (16.6 ms at 60 FPS — the paper's figure)."""
         return 1.0 / self.fps
 
-    @property
-    def mean_frame_bits(self) -> float:
-        return self.bitrate_bps / self.fps
-
 
 class FrameCycleAnalysis:
     """Deadline accounting of a frame stream against network RTTs.

@@ -12,13 +12,11 @@ __all__ = [
     "SixGUpgradeStudy", "UpgradeArm", "FederatedEdgeStudy",
     "PredictiveSlicingStudy",
     "LocalPeeringExperiment", "PeeringOutcome",
-    "Recommendation", "RecommendationEngine",
     "render_comparison_table", "render_grid_heatmap",
     "FIVE_G_CAPABILITY", "SIX_G_CAPABILITY", "GenerationCapability",
     "RequirementsAnalysis", "RequirementVerdict",
     "KlagenfurtScenario",
     "KnobResult", "SensitivityAnalysis",
-    "ValidationIssue", "ValidationReport", "validate_scenario",
     "HypervisorPlacementStudy", "SlicingOutcome", "SlicingStudy",
     "DynamicUpfSelector", "UpfDeployment", "UpfPlacementStudy",
 ]
@@ -32,15 +30,12 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                 "SixGUpgradeStudy", "UpgradeArm"),
     ".gap": ("GapAnalysis", "GapReport"),
     ".peering": ("LocalPeeringExperiment", "PeeringOutcome"),
-    ".recommendations": ("Recommendation", "RecommendationEngine"),
     ".report": ("render_comparison_table", "render_grid_heatmap"),
     ".requirements": ("FIVE_G_CAPABILITY", "SIX_G_CAPABILITY",
                       "GenerationCapability", "RequirementsAnalysis",
                       "RequirementVerdict"),
     ".scenario": ("KlagenfurtScenario",),
     ".sensitivity": ("KnobResult", "SensitivityAnalysis"),
-    ".validation": ("ValidationIssue", "ValidationReport",
-                    "validate_scenario"),
     ".slicing_strategy": ("HypervisorPlacementStudy", "SlicingOutcome",
                           "SlicingStudy"),
     ".upf_strategy": ("DynamicUpfSelector", "UpfDeployment",

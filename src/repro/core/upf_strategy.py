@@ -149,10 +149,6 @@ class DynamicUpfSelector:
         self.edge_capacity_flows = edge_capacity_flows
         self._edge_flows = 0
 
-    @property
-    def edge_flows(self) -> int:
-        return self._edge_flows
-
     def select(self, delay_budget_s: float) -> UpfDeployment:
         """Anchor a new flow; returns the chosen deployment."""
         if delay_budget_s <= 0:

@@ -10,11 +10,11 @@ __all__ = [
     "haversine_matrix",
     "initial_bearing", "destination_point", "path_length",
     "CellId", "Grid",
-    "MobilitySample", "DriveTestRoute", "RandomWaypoint", "ManhattanMobility",
+    "MobilitySample", "DriveTestRoute",
     "PLACES", "place", "KLAGENFURT", "UNIVERSITY_KLAGENFURT", "VIENNA",
     "PRAGUE", "BUCHAREST", "GRAZ", "FRANKFURT", "FIBRE_CIRCUITY",
     "route_distance_m",
-    "PopulationModel", "RadialPopulationModel", "RasterPopulationModel",
+    "PopulationModel", "RadialPopulationModel",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -22,11 +22,9 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                 "haversine", "haversine_many", "haversine_matrix",
                 "initial_bearing", "path_length"),
     ".grid": ("CellId", "Grid"),
-    ".mobility": ("DriveTestRoute", "ManhattanMobility", "MobilitySample",
-                  "RandomWaypoint"),
+    ".mobility": ("DriveTestRoute", "MobilitySample"),
     ".places": ("BUCHAREST", "FIBRE_CIRCUITY", "FRANKFURT", "GRAZ",
                 "KLAGENFURT", "PLACES", "PRAGUE", "UNIVERSITY_KLAGENFURT",
                 "VIENNA", "place", "route_distance_m"),
-    ".population": ("PopulationModel", "RadialPopulationModel",
-                    "RasterPopulationModel"),
+    ".population": ("PopulationModel", "RadialPopulationModel"),
 })

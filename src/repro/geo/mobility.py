@@ -1,19 +1,15 @@
-"""Mobility models for the drive-test campaign and urban UEs.
+"""Mobility model for the drive-test campaign.
 
 The campaign of Section IV drives mobile nodes through the grid cells
 while adhering to "traffic flow dynamics and local traffic regulations" —
 i.e. the per-cell dwell time (and hence sample count) varies with
-traffic.  Three models cover the needs:
+traffic.  :class:`DriveTestRoute` models that: deterministic serpentine
+coverage of a set of target cells with stochastic per-cell dwell times
+and within-cell waypoints; it produces the measurement positions for
+Fig. 2/3.
 
-* :class:`DriveTestRoute` — deterministic serpentine coverage of a set of
-  target cells with stochastic per-cell dwell times and within-cell
-  waypoints; produces the measurement positions for Fig. 2/3.
-* :class:`RandomWaypoint` — the classic entity model, for background UEs.
-* :class:`ManhattanMobility` — street-grid constrained movement ([17]'s
-  urban pedestrian/vehicle setting), for mobility-management tests.
-
-All models are generators of :class:`MobilitySample` and draw exclusively
-from injected RNG streams, keeping campaigns reproducible.
+The route yields :class:`MobilitySample` values and draws exclusively
+from an injected RNG stream, keeping campaigns reproducible.
 """
 
 from __future__ import annotations
@@ -26,12 +22,7 @@ import numpy as np
 from .coords import GeoPoint
 from .grid import CellId, Grid
 
-__all__ = [
-    "MobilitySample",
-    "DriveTestRoute",
-    "RandomWaypoint",
-    "ManhattanMobility",
-]
+__all__ = ["MobilitySample", "DriveTestRoute"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,128 +98,3 @@ class DriveTestRoute:
                                               float(frac_s))
                 yield MobilitySample(time=t, position=pos, cell=cell)
                 t += self.sample_interval_s
-
-
-class RandomWaypoint:
-    """Random-waypoint mobility inside the grid's bounding box.
-
-    Pick a uniform destination, travel at a uniform speed from
-    ``speed_range``, pause for ``pause_s``, repeat.  Samples are emitted
-    every ``sample_interval_s`` along the way.
-    """
-
-    def __init__(self, grid: Grid, rng: np.random.Generator, *,
-                 speed_range: tuple[float, float] = (0.5, 1.5),
-                 pause_s: float = 30.0,
-                 sample_interval_s: float = 1.0,
-                 start: Optional[GeoPoint] = None):
-        lo, hi = speed_range
-        if not 0 < lo <= hi:
-            raise ValueError(f"bad speed range {speed_range!r}")
-        if sample_interval_s <= 0 or pause_s < 0:
-            raise ValueError("intervals must be positive")
-        self.grid = grid
-        self.rng = rng
-        self.speed_range = speed_range
-        self.pause_s = pause_s
-        self.sample_interval_s = sample_interval_s
-        self._pos = start if start is not None else self._uniform_point()
-        if start is not None and grid.locate(start) is None:
-            raise ValueError("start position lies outside the grid")
-
-    def _uniform_point(self) -> GeoPoint:
-        col = int(self.rng.integers(0, self.grid.cols))
-        row = int(self.rng.integers(0, self.grid.rows))
-        fe, fs = self.rng.random(2)
-        return self.grid.point_in_cell(CellId(col, row), float(fe), float(fs))
-
-    def walk(self, duration_s: float) -> Iterator[MobilitySample]:
-        """Yield position samples for ``duration_s`` seconds."""
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
-        t = 0.0
-        pos = self._pos
-        while t < duration_s:
-            dest = self._uniform_point()
-            dist = pos.distance_to(dest)
-            speed = float(self.rng.uniform(*self.speed_range))
-            travel = dist / speed
-            bearing = pos.bearing_to(dest) if dist > 0 else 0.0
-            elapsed = 0.0
-            while elapsed < travel and t < duration_s:
-                step = min(self.sample_interval_s, travel - elapsed)
-                elapsed += step
-                t += step
-                covered = min(speed * elapsed, dist)
-                pos = self._pos.destination(bearing, covered) \
-                    if dist > 0 else pos
-                yield MobilitySample(t, pos, self.grid.locate(pos))
-            self._pos = pos
-            t += self.pause_s
-
-
-class ManhattanMobility:
-    """Street-grid mobility: movement restricted to cell-edge 'streets'.
-
-    The node moves along horizontal/vertical lanes aligned with the grid
-    (the Manhattan model of [17]).  At each intersection it continues
-    straight with probability ``p_straight`` and otherwise turns left or
-    right with equal probability; dead ends force a turn.
-    """
-
-    def __init__(self, grid: Grid, rng: np.random.Generator, *,
-                 speed_mps: float = 8.33, p_straight: float = 0.5,
-                 start_cell: Optional[CellId] = None):
-        if not 0.0 <= p_straight <= 1.0:
-            raise ValueError("p_straight must be a probability")
-        if speed_mps <= 0:
-            raise ValueError("speed must be positive")
-        self.grid = grid
-        self.rng = rng
-        self.speed_mps = speed_mps
-        self.p_straight = p_straight
-        if start_cell is None:
-            start_cell = CellId(grid.cols // 2, grid.rows // 2)
-        if start_cell not in grid:
-            raise KeyError(f"start cell {start_cell.label} outside grid")
-        self._cell = start_cell
-        #: heading as (dcol, drow); start heading east
-        self._heading = (1, 0)
-
-    _TURNS = {
-        (1, 0): [(0, -1), (0, 1)],     # east -> north/south
-        (-1, 0): [(0, -1), (0, 1)],
-        (0, 1): [(-1, 0), (1, 0)],     # south -> west/east
-        (0, -1): [(-1, 0), (1, 0)],
-    }
-
-    def _next_heading(self) -> tuple[int, int]:
-        options = []
-        if self.rng.random() < self.p_straight:
-            options = [self._heading] + self._TURNS[self._heading]
-        else:
-            options = self._TURNS[self._heading] + [self._heading]
-        for dcol, drow in options:
-            col, row = self._cell.col + dcol, self._cell.row + drow
-            if 0 <= col < self.grid.cols and 0 <= row < self.grid.rows:
-                return (dcol, drow)
-        # Fully blocked (1x1 grid): reverse.
-        return (-self._heading[0], -self._heading[1])
-
-    def walk(self, steps: int) -> Iterator[MobilitySample]:
-        """Yield one sample per intersection for ``steps`` moves."""
-        if steps < 0:
-            raise ValueError("steps must be non-negative")
-        t = 0.0
-        hop_time = self.grid.cell_size_m / self.speed_mps
-        yield MobilitySample(t, self.grid.cell_center(self._cell), self._cell)
-        for _ in range(steps):
-            self._heading = self._next_heading()
-            col = self._cell.col + self._heading[0]
-            row = self._cell.row + self._heading[1]
-            if not (0 <= col < self.grid.cols and 0 <= row < self.grid.rows):
-                continue   # reversed on a 1x1 grid: stay put
-            self._cell = CellId(col, row)
-            t += hop_time
-            yield MobilitySample(t, self.grid.cell_center(self._cell),
-                                 self._cell)

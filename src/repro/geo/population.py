@@ -18,12 +18,11 @@ matters for the evaluation, which the model preserves by construction.
 from __future__ import annotations
 
 import math
-from typing import Mapping
 
 from .coords import GeoPoint
 from .grid import CellId, Grid
 
-__all__ = ["PopulationModel", "RadialPopulationModel", "RasterPopulationModel"]
+__all__ = ["PopulationModel", "RadialPopulationModel"]
 
 
 class PopulationModel:
@@ -83,35 +82,3 @@ class RadialPopulationModel(PopulationModel):
                 f"{self.core_density}]")
         return -self.scale_m * math.log(
             (density - self.floor) / (self.core_density - self.floor))
-
-
-class RasterPopulationModel(PopulationModel):
-    """Density given explicitly per grid cell (for tests and what-ifs).
-
-    ``default`` is returned for cells without an explicit entry and for
-    arbitrary points (a raster has no meaning off-grid).
-    """
-
-    def __init__(self, grid: Grid, cell_densities: Mapping[CellId, float],
-                 default: float = 0.0):
-        for cell, dens in cell_densities.items():
-            if cell not in grid:
-                raise KeyError(f"cell {cell.label} outside grid")
-            if dens < 0:
-                raise ValueError(f"negative density for {cell.label}")
-        self.grid = grid
-        self._cells = dict(cell_densities)
-        self.default = float(default)
-
-    def density_at(self, point: GeoPoint) -> float:
-        """Raster density at ``point`` (``default`` off-grid)."""
-        cell = self.grid.locate(point)
-        if cell is None:
-            return self.default
-        return self._cells.get(cell, self.default)
-
-    def cell_density(self, grid: Grid, cell: CellId) -> float:
-        """Raster density of ``cell``."""
-        if grid is not self.grid and cell not in grid:
-            raise KeyError(f"cell {cell.label} outside grid")
-        return self._cells.get(cell, self.default)

@@ -7,11 +7,10 @@ from .._lazy import lazy_exports
 from .traceroute import traceroute  # eager: shadows its submodule
 
 __all__ = [
-    "IPv4Address", "IPv4Prefix", "PrefixAllocator", "ptr_name",
+    "IPv4Address", "IPv4Prefix", "ptr_name",
     "ASGraph", "ASKind", "AutonomousSystem",
     "Packet", "PacketNetwork",
     "ASRoute", "BGPRouter", "RouteClass",
-    "TrafficDemand", "TrafficMatrix",
     "InternetExchange",
     "LatencyBreakdown",
     "Link", "LinkKind",
@@ -24,11 +23,10 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    ".address": ("IPv4Address", "IPv4Prefix", "PrefixAllocator", "ptr_name"),
+    ".address": ("IPv4Address", "IPv4Prefix", "ptr_name"),
     ".asn": ("ASGraph", "ASKind", "AutonomousSystem"),
     ".dessim": ("Packet", "PacketNetwork"),
     ".bgp": ("ASRoute", "BGPRouter", "RouteClass"),
-    ".flows": ("TrafficDemand", "TrafficMatrix"),
     ".ixp": ("InternetExchange",),
     ".latency": ("LatencyBreakdown",),
     ".link": ("Link", "LinkKind"),

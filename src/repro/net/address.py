@@ -9,8 +9,6 @@ PTR-style names.  This module provides:
   types (the stdlib ``ipaddress`` module would do, but these stay in
   plain-int land for speed inside tight loops and add the dashed-quad
   helper the naming templates need).
-* :class:`PrefixAllocator` — carves /24s and host addresses out of an
-  operator's aggregate, deterministically.
 * :func:`ptr_name` — operator-style PTR names from templates.
 """
 
@@ -19,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-__all__ = ["IPv4Address", "IPv4Prefix", "PrefixAllocator", "ptr_name"]
+__all__ = ["IPv4Address", "IPv4Prefix", "ptr_name"]
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -126,45 +124,6 @@ class IPv4Prefix:
 
     def __str__(self) -> str:
         return f"{self.network}/{self.length}"
-
-
-class PrefixAllocator:
-    """Deterministic sequential allocator over an aggregate prefix.
-
-    Each operator in the scenario gets one allocator over its announced
-    aggregate; routers draw loopback/interface addresses from it.  Host
-    index 0 (the network address) and broadcast are skipped.
-    """
-
-    def __init__(self, aggregate: IPv4Prefix):
-        if aggregate.length > 30:
-            raise ValueError("aggregate too small to allocate hosts from")
-        self.aggregate = aggregate
-        self._next = 1  # skip network address
-
-    @property
-    def remaining(self) -> int:
-        return max(0, self.aggregate.host_count - 1 - self._next)
-
-    def allocate(self) -> IPv4Address:
-        """Allocate the next free host address."""
-        if self._next >= self.aggregate.host_count - 1:  # keep broadcast free
-            raise RuntimeError(f"prefix {self.aggregate} exhausted")
-        addr = self.aggregate.host(self._next)
-        self._next += 1
-        return addr
-
-    def allocate_subnet(self, length: int) -> "PrefixAllocator":
-        """Carve the next aligned sub-prefix and return its allocator."""
-        step = 1 << (32 - length)
-        base = self.aggregate.network.value + ((self._next + step - 1)
-                                               // step) * step
-        end = self.aggregate.network.value + self.aggregate.host_count
-        if base + step > end:
-            raise RuntimeError(
-                f"no room for a /{length} inside {self.aggregate}")
-        self._next = (base - self.aggregate.network.value) + step
-        return PrefixAllocator(IPv4Prefix(IPv4Address(base), length))
 
 
 def ptr_name(template: str, addr: IPv4Address, **fields: str) -> str:

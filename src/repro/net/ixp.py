@@ -86,10 +86,6 @@ class InternetExchange:
         )
         return topology.add_link(link)
 
-    def member_count(self) -> int:
-        """Number of member ASes."""
-        return len(self.members)
-
     def __repr__(self) -> str:  # pragma: no cover
         return (f"InternetExchange({self.name!r}, "
                 f"members={sorted(self.members)})")

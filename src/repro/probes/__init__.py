@@ -7,7 +7,6 @@ from .._lazy import lazy_exports
 from .ping import ping  # eager: shadows its submodule
 
 __all__ = [
-    "Cdf", "DatasetAnalysis",
     "Probe", "ProbeKind", "ProbeRegistry",
     "CampaignConfig", "DriveTestCampaign",
     "ping",
@@ -16,7 +15,6 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    ".analysis": ("Cdf", "DatasetAnalysis"),
     ".atlas": ("Probe", "ProbeKind", "ProbeRegistry"),
     ".campaign": ("CampaignConfig", "DriveTestCampaign"),
     ".results": ("MeasurementDataset", "MeasurementRecord"),

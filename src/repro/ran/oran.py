@@ -1,4 +1,4 @@
-"""O-RAN control architecture: SMO, RICs, xApps, E2/A1/O1 interfaces.
+"""O-RAN control architecture: the Near-RT RIC, xApps, signalling legs.
 
 Section V-C argues for consolidating session and mobility management at
 the network edge by hosting subscriber policy in the **Near-RT RIC**
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .. import units
 from ..geo.coords import GeoPoint
@@ -29,8 +28,6 @@ __all__ = [
     "RicTier",
     "XApp",
     "NearRTRIC",
-    "NonRTRIC",
-    "ServiceManagementOrchestration",
     "ControlProcedure",
     "SignallingLeg",
 ]
@@ -98,29 +95,6 @@ class NearRTRIC:
             return self.xapps[name]
         except KeyError:
             raise KeyError(f"no xApp {name!r} on {self.name}") from None
-
-
-@dataclass
-class NonRTRIC:
-    """Non-real-time RIC inside the SMO (policy/training plane)."""
-
-    name: str
-    #: A1 policy-delivery latency to Near-RT RICs, seconds
-    a1_latency_s: float = 0.5
-
-
-@dataclass
-class ServiceManagementOrchestration:
-    """The SMO framework: owns the Non-RT RIC and O1 management."""
-
-    name: str
-    non_rt_ric: NonRTRIC
-    #: O1 configuration-push latency, seconds
-    o1_latency_s: float = 2.0
-
-    def policy_deployment_latency(self, near_rt: NearRTRIC) -> float:
-        """Time for a new policy to reach xApps on ``near_rt`` via A1."""
-        return self.non_rt_ric.a1_latency_s + near_rt.e2_latency_s
 
 
 @dataclass(frozen=True, slots=True)

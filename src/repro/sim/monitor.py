@@ -1,28 +1,18 @@
 """Measurement collection during simulation runs.
 
-Two collectors cover the evaluation's needs:
-
-* :class:`SeriesMonitor` — point samples ``(t, value)`` with summary
-  statistics (used for RTT samples, per-packet latencies).
-* :class:`TimeWeightedMonitor` — piecewise-constant signals (queue
-  lengths, utilisation) summarised with *time-weighted* statistics, which
-  is what queueing metrics require (an instantaneous spike should not
-  count as much as a sustained plateau).
-
-Both are intentionally NumPy-backed: a drive-test campaign produces
-hundreds of thousands of samples, and summary statistics over Python
-lists would dominate the run time (see the profiling-first guidance in
-the project coding notes).
+:class:`SeriesMonitor` collects point samples ``(t, value)`` with
+summary statistics (used for RTT samples, per-packet latencies).  It is
+intentionally NumPy-backed: a drive-test campaign produces hundreds of
+thousands of samples, and summary statistics over Python lists would
+dominate the run time (see the profiling-first guidance in the project
+coding notes).
 """
 
 from __future__ import annotations
 
-import math
-from typing import Optional
-
 import numpy as np
 
-__all__ = ["SeriesMonitor", "TimeWeightedMonitor", "SummaryStats"]
+__all__ = ["SeriesMonitor", "SummaryStats"]
 
 
 class SummaryStats:
@@ -146,73 +136,3 @@ class SeriesMonitor:
         if self._n == 0:
             raise ValueError("no samples recorded")
         return float((self._values[:self._n] < threshold).mean())
-
-
-class TimeWeightedMonitor:
-    """Piecewise-constant signal with time-weighted statistics."""
-
-    def __init__(self, initial: float = 0.0, start_time: float = 0.0,
-                 name: str = ""):
-        self.name = name or "level"
-        self._last_time = start_time
-        self._last_value = float(initial)
-        self._area = 0.0          # integral of value dt
-        self._area2 = 0.0         # integral of value^2 dt
-        self._elapsed = 0.0
-        self._minimum = float(initial)
-        self._maximum = float(initial)
-
-    def update(self, time: float, value: float) -> None:
-        """Record that the signal changed to ``value`` at ``time``."""
-        if time < self._last_time:
-            raise ValueError(
-                f"time went backwards: {time} < {self._last_time}")
-        dt = time - self._last_time
-        self._area += self._last_value * dt
-        self._area2 += self._last_value * self._last_value * dt
-        self._elapsed += dt
-        self._last_time = time
-        self._last_value = float(value)
-        self._minimum = min(self._minimum, float(value))
-        self._maximum = max(self._maximum, float(value))
-
-    @property
-    def current(self) -> float:
-        return self._last_value
-
-    def mean(self, until: Optional[float] = None) -> float:
-        """Time-weighted mean up to ``until`` (default: last update)."""
-        area, elapsed = self._area, self._elapsed
-        if until is not None:
-            if until < self._last_time:
-                raise ValueError("until precedes the last update")
-            extra = until - self._last_time
-            area += self._last_value * extra
-            elapsed += extra
-        if elapsed == 0.0:
-            return self._last_value
-        return area / elapsed
-
-    def std(self, until: Optional[float] = None) -> float:
-        """Time-weighted standard deviation."""
-        area, area2, elapsed = self._area, self._area2, self._elapsed
-        if until is not None:
-            extra = until - self._last_time
-            if extra < 0:
-                raise ValueError("until precedes the last update")
-            area += self._last_value * extra
-            area2 += self._last_value ** 2 * extra
-            elapsed += extra
-        if elapsed == 0.0:
-            return 0.0
-        mean = area / elapsed
-        var = max(area2 / elapsed - mean * mean, 0.0)
-        return math.sqrt(var)
-
-    @property
-    def minimum(self) -> float:
-        return self._minimum
-
-    @property
-    def maximum(self) -> float:
-        return self._maximum

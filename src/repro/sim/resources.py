@@ -1,14 +1,12 @@
 """Shared-resource primitives for the simulation kernel.
 
-Three primitives cover everything the network models need:
+Two primitives cover everything the network models need:
 
 * :class:`Resource` — ``capacity`` interchangeable slots with a FIFO (or
   priority) wait queue.  Models radio scheduler grants, UPF worker cores,
   control-plane threads.
 * :class:`Store` — an unbounded (or bounded) FIFO buffer of Python
   objects.  Models packet queues and message buses.
-* :class:`Container` — a continuous quantity with put/get.  Models link
-  byte budgets and slice resource pools.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from typing import Any, Generator, Optional
 
 from .engine import Event, SimulationError, Simulator
 
-__all__ = ["Request", "Resource", "PriorityResource", "Store", "Container"]
+__all__ = ["Request", "Resource", "PriorityResource", "Store"]
 
 
 class Request(Event):
@@ -214,57 +212,3 @@ class Store:
                 pev.succeed(None)
             return True, item
         return False, None
-
-
-class Container:
-    """A continuous quantity (tokens, bytes, PRBs) with blocking put/get."""
-
-    def __init__(self, sim: Simulator, capacity: float = float("inf"),
-                 init: float = 0.0, name: str = ""):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        if not 0.0 <= init <= capacity:
-            raise ValueError(f"init {init} outside [0, {capacity}]")
-        self.sim = sim
-        self.capacity = capacity
-        self.level = float(init)
-        self.name = name or "container"
-        self._getters: list[tuple[Event, float]] = []
-        self._putters: list[tuple[Event, float]] = []
-
-    def put(self, amount: float) -> Event:
-        """Add ``amount``; blocks while it would overflow capacity."""
-        if amount < 0:
-            raise ValueError("put amount must be non-negative")
-        ev = Event(self.sim, name=f"put({self.name})")
-        self._putters.append((ev, amount))
-        self._settle()
-        return ev
-
-    def get(self, amount: float) -> Event:
-        """Remove ``amount``; blocks while the level is insufficient."""
-        if amount < 0:
-            raise ValueError("get amount must be non-negative")
-        ev = Event(self.sim, name=f"get({self.name})")
-        self._getters.append((ev, amount))
-        self._settle()
-        return ev
-
-    def _settle(self) -> None:
-        moved = True
-        while moved:
-            moved = False
-            if self._putters:
-                ev, amount = self._putters[0]
-                if self.level + amount <= self.capacity:
-                    self._putters.pop(0)
-                    self.level += amount
-                    ev.succeed(None)
-                    moved = True
-            if self._getters:
-                ev, amount = self._getters[0]
-                if amount <= self.level:
-                    self._getters.pop(0)
-                    self.level -= amount
-                    ev.succeed(amount)
-                    moved = True

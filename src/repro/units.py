@@ -130,11 +130,6 @@ def to_mbps(bits_per_second: float) -> float:
     return bits_per_second / RATE_MBPS
 
 
-def to_gb(bits: float) -> float:
-    """Convert bits to decimal gigabytes."""
-    return bits / GB
-
-
 def to_tb(bits: float) -> float:
     """Convert bits to decimal terabytes."""
     return bits / TB

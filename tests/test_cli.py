@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -101,6 +103,24 @@ def test_cli_malformed_spec_file_is_clean_error(tmp_path, capsys):
     path.write_text('{"not": "a spec"}')
     assert main(["evaluate", "--spec", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("gateway_by_cell", [["A1", "atlantis"]],
+     "cell A1 assigned to unknown gateway 'atlantis'"),
+    ("default_targets", ["no-such-host"], "unknown node 'no-such-host'"),
+], ids=["unknown-gateway", "unknown-target"])
+def test_cli_spec_that_fails_to_build_is_clean_error(tmp_path, capsys,
+                                                     field, value, message):
+    # The file parses into a spec; building its world is what fails.
+    from repro.scenarios import skopje
+
+    spec = json.loads(skopje().to_json())
+    spec["campaign"][field] = value
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(spec))
+    assert main(["evaluate", "--spec", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_rejects_unknown_command():

@@ -12,7 +12,6 @@ from repro.core import (
     LocalPeeringExperiment,
     KlagenfurtScenario,
     QosCacheStudy,
-    RecommendationEngine,
     RequirementsAnalysis,
     SIX_G_CAPABILITY,
     SlicingStudy,
@@ -229,23 +228,6 @@ def test_hypervisor_latency_improves_with_k():
     curve = study.latency_vs_k([1, 2, 3, 4])
     values = [v for _, v in curve]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
-
-
-# ---------------------------------------------------------------------------
-# Recommendation engine (Section V synthesis)
-# ---------------------------------------------------------------------------
-
-def test_recommendation_engine_ranks_remedies(fresh_scenario):
-    engine = RecommendationEngine(fresh_scenario)
-    recs = engine.evaluate_all(measured_rtt_s=units.ms(73.0))
-    assert len(recs) == 3
-    factors = [r.improvement_factor for r in recs]
-    assert factors == sorted(factors, reverse=True)
-    names = {r.name for r in recs}
-    assert names == {"local-peering", "upf-integration", "cpf-enhancement"}
-    for rec in recs:
-        assert rec.improvement_factor > 1.0
-        assert "ms" in rec.render()
 
 
 def test_comparison_table_renders():

@@ -1,15 +1,10 @@
-"""Tests for DRX, scenario validation and artifact export."""
+"""Tests for DRX and artifact export."""
 
 import numpy as np
 import pytest
 
 from repro import units
-from repro.core import (
-    InfrastructureEvaluation,
-    KlagenfurtScenario,
-    validate_scenario,
-)
-from repro.geo.grid import CellId
+from repro.core import InfrastructureEvaluation
 from repro.ran import DrxConfig, DrxModel
 from repro.sim import RngRegistry
 
@@ -78,65 +73,6 @@ def test_drx_validation():
     model = DrxModel(DrxConfig.balanced())
     with pytest.raises(ValueError):
         model.meets_budget(0.0, 1e-3)
-
-
-# ---------------------------------------------------------------------------
-# Scenario validation
-# ---------------------------------------------------------------------------
-
-@pytest.fixture
-def scenario():
-    return KlagenfurtScenario(seed=42)
-
-
-def kwargs_of(scenario):
-    return dict(grid=scenario.grid,
-                traversed_cells=scenario.traversed_cells,
-                radio=scenario.radio, routes=scenario.routes,
-                campaign_config=scenario.campaign_config)
-
-
-def test_default_scenario_validates_clean(scenario):
-    report = validate_scenario(**kwargs_of(scenario))
-    assert report.ok
-    assert report.issues == []
-    assert "no issues" in report.render()
-
-
-def test_validation_detects_unreachable_target(scenario):
-    scenario.topology.remove_link("ascus-access", "probe-uni")
-    scenario.routes.invalidate()
-    report = validate_scenario(**kwargs_of(scenario))
-    assert not report.ok
-    assert any("unreachable" in str(i) for i in report.errors)
-
-
-def test_validation_detects_missing_gateway_node(scenario):
-    from repro.probes.campaign import Gateway
-    bad = Gateway("ghost", "no-such-node",
-                  scenario.campaign_config.gateways["vienna"].upf)
-    scenario.campaign_config.gateways = dict(
-        scenario.campaign_config.gateways, ghost=bad)
-    report = validate_scenario(**kwargs_of(scenario))
-    assert not report.ok
-    assert any("missing node" in str(i) for i in report.errors)
-
-
-def test_validation_warns_on_weak_coverage(scenario):
-    # Demand an absurd SINR floor: every cell (even the six whose
-    # centre hosts a gNB) becomes a warning.
-    report = validate_scenario(**kwargs_of(scenario), min_sinr_db=100.0)
-    assert report.ok                      # warnings, not errors
-    assert len(report.warnings) == len(scenario.traversed_cells)
-
-
-def test_validation_detects_out_of_grid_cell(scenario):
-    cells = list(scenario.traversed_cells) + [CellId(20, 20)]
-    report = validate_scenario(
-        grid=scenario.grid, traversed_cells=cells,
-        radio=scenario.radio, routes=scenario.routes,
-        campaign_config=scenario.campaign_config)
-    assert any("outside the grid" in str(i) for i in report.errors)
 
 
 # ---------------------------------------------------------------------------

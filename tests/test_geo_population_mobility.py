@@ -1,4 +1,4 @@
-"""Tests for the population model and mobility models."""
+"""Tests for the radial population model and the drive-test route."""
 
 import pytest
 
@@ -7,10 +7,7 @@ from repro.geo import (
     DriveTestRoute,
     GeoPoint,
     Grid,
-    ManhattanMobility,
     RadialPopulationModel,
-    RandomWaypoint,
-    RasterPopulationModel,
 )
 from repro.sim import RngRegistry
 
@@ -77,23 +74,6 @@ def test_radial_validation(grid):
         RadialPopulationModel(centre, core_density=0.0)
     with pytest.raises(ValueError):
         RadialPopulationModel(centre, core_density=100.0, floor=200.0)
-
-
-def test_raster_model_lookup(grid):
-    cells = {CellId.from_label("C3"): 3000.0,
-             CellId.from_label("A1"): 500.0}
-    model = RasterPopulationModel(grid, cells, default=10.0)
-    assert model.cell_density(grid, CellId.from_label("C3")) == 3000.0
-    assert model.cell_density(grid, CellId.from_label("F7")) == 10.0
-    assert model.density_at(grid.cell_center(CellId.from_label("A1"))) == 500.0
-    assert model.density_at(GeoPoint(0.0, 0.0)) == 10.0
-
-
-def test_raster_model_validation(grid):
-    with pytest.raises(KeyError):
-        RasterPopulationModel(grid, {CellId(20, 20): 5.0})
-    with pytest.raises(ValueError):
-        RasterPopulationModel(grid, {CellId(0, 0): -5.0})
 
 
 # ---------------------------------------------------------------------------
@@ -169,66 +149,3 @@ def test_drive_test_follows_serpentine_order(grid, rng):
         if not seen or seen[-1] != s.cell:
             seen.append(s.cell)
     assert [c.label for c in seen] == ["A1", "C1", "F2", "A2"]
-
-
-# ---------------------------------------------------------------------------
-# RandomWaypoint
-# ---------------------------------------------------------------------------
-
-def test_random_waypoint_stays_in_grid(grid, rng):
-    model = RandomWaypoint(grid, rng.stream("rwp"))
-    for s in model.walk(duration_s=600.0):
-        assert s.cell is not None
-
-
-def test_random_waypoint_moves(grid, rng):
-    model = RandomWaypoint(grid, rng.stream("rwp"))
-    samples = list(model.walk(duration_s=300.0))
-    assert len(samples) > 1
-    dist = samples[0].position.distance_to(samples[-1].position)
-    assert dist > 0.0
-
-
-def test_random_waypoint_validation(grid, rng):
-    with pytest.raises(ValueError):
-        RandomWaypoint(grid, rng.stream("x"), speed_range=(2.0, 1.0))
-    with pytest.raises(ValueError):
-        RandomWaypoint(grid, rng.stream("x"), start=GeoPoint(0.0, 0.0))
-    model = RandomWaypoint(grid, rng.stream("x"))
-    with pytest.raises(ValueError):
-        list(model.walk(duration_s=0.0))
-
-
-# ---------------------------------------------------------------------------
-# ManhattanMobility
-# ---------------------------------------------------------------------------
-
-def test_manhattan_stays_in_grid(grid, rng):
-    model = ManhattanMobility(grid, rng.stream("man"))
-    for s in model.walk(steps=500):
-        assert s.cell in grid
-
-
-def test_manhattan_moves_one_cell_per_step(grid, rng):
-    model = ManhattanMobility(grid, rng.stream("man"))
-    samples = list(model.walk(steps=100))
-    for a, b in zip(samples, samples[1:]):
-        manhattan = abs(a.cell.col - b.cell.col) + abs(a.cell.row - b.cell.row)
-        assert manhattan == 1
-
-
-def test_manhattan_hop_timing(grid, rng):
-    model = ManhattanMobility(grid, rng.stream("man"), speed_mps=10.0)
-    samples = list(model.walk(steps=5))
-    dt = samples[1].time - samples[0].time
-    assert dt == pytest.approx(100.0)  # 1000 m at 10 m/s
-
-
-def test_manhattan_validation(grid, rng):
-    with pytest.raises(ValueError):
-        ManhattanMobility(grid, rng.stream("m"), p_straight=1.5)
-    with pytest.raises(KeyError):
-        ManhattanMobility(grid, rng.stream("m"), start_cell=CellId(20, 20))
-    model = ManhattanMobility(grid, rng.stream("m"))
-    with pytest.raises(ValueError):
-        list(model.walk(steps=-1))

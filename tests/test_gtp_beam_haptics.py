@@ -1,4 +1,4 @@
-"""Tests for GTP tunnelling, beam management and haptic loops."""
+"""Tests for GTP tunnelling and haptic loops."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,6 @@ from hypothesis import given, strategies as st
 from repro import units
 from repro.apps import HapticConfig, HapticLoop
 from repro.cn import GtpTunnel
-from repro.ran import BeamConfig, BeamManager
-from repro.sim import RngRegistry
 
 
 # ---------------------------------------------------------------------------
@@ -56,65 +54,6 @@ def test_gtp_wire_bytes_exceed_user_bytes(size):
     tunnel = GtpTunnel()
     assert tunnel.wire_bytes(size) > size
     assert 0.0 < tunnel.goodput_efficiency(size) < 1.0
-
-
-# ---------------------------------------------------------------------------
-# Beam management
-# ---------------------------------------------------------------------------
-
-def test_beam_sweep_arithmetic():
-    mgr = BeamManager(BeamConfig(n_beams=64, beams_per_burst=8,
-                                 ssb_period_s=20e-3))
-    assert mgr.sweep_bursts == 8
-    assert mgr.initial_acquisition_s() == pytest.approx(0.16)
-
-
-def test_beam_failure_outage():
-    mgr = BeamManager(BeamConfig(failure_detection_bursts=2,
-                                 ssb_period_s=20e-3, recovery_s=10e-3))
-    assert mgr.failure_outage_s() == pytest.approx(0.05)
-
-
-def test_beam_outage_rate_grows_with_blockage():
-    calm = BeamManager(BeamConfig(blockage_rate_hz=0.05))
-    busy = BeamManager(BeamConfig(blockage_rate_hz=0.5))
-    assert calm.mean_outage_rate() < busy.mean_outage_rate()
-    off = BeamManager(BeamConfig(blockage_rate_hz=0.0))
-    assert off.mean_outage_rate() == 0.0
-
-
-def test_beam_blockage_fattens_latency_tail():
-    mgr = BeamManager(BeamConfig(blockage_rate_hz=1.0))
-    rng = RngRegistry(3).stream("beam")
-    latencies = mgr.latency_with_blockage(2e-3, rng, size=50_000)
-    assert latencies.min() == pytest.approx(2e-3)
-    assert latencies.max() > 2e-3 + 0.02   # some packets hit recovery
-    # mean matches base + P(outage) * E[residual]
-    expected = 2e-3 + mgr.mean_outage_rate() * mgr.failure_outage_s() / 2
-    assert float(np.mean(latencies)) == pytest.approx(expected, rel=0.05)
-
-
-def test_beam_session_outage_sampling():
-    mgr = BeamManager(BeamConfig(blockage_rate_hz=0.2))
-    rng = RngRegistry(5).stream("beam2")
-    outages = mgr.sample_session_outages(600.0, rng)
-    # ~120 expected; Poisson 3-sigma band
-    assert 80 < outages.size < 160
-    assert (np.diff(outages) >= 0).all()
-    with pytest.raises(ValueError):
-        mgr.sample_session_outages(0.0, rng)
-
-
-def test_beam_validation():
-    with pytest.raises(ValueError):
-        BeamConfig(n_beams=0)
-    with pytest.raises(ValueError):
-        BeamConfig(beams_per_burst=100, n_beams=64)
-    with pytest.raises(ValueError):
-        BeamConfig(ssb_period_s=0.0)
-    mgr = BeamManager(BeamConfig())
-    with pytest.raises(ValueError):
-        mgr.latency_with_blockage(-1.0, RngRegistry(1).stream("x"))
 
 
 # ---------------------------------------------------------------------------

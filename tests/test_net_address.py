@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.net import IPv4Address, IPv4Prefix, PrefixAllocator, ptr_name
+from repro.net import IPv4Address, IPv4Prefix, ptr_name
 
 
 # ---------------------------------------------------------------------------
@@ -94,48 +94,6 @@ def test_subnets_rejects_shorter_length():
     pfx = IPv4Prefix.parse("10.0.0.0/24")
     with pytest.raises(ValueError):
         list(pfx.subnets(16))
-
-
-# ---------------------------------------------------------------------------
-# PrefixAllocator
-# ---------------------------------------------------------------------------
-
-def test_allocator_sequential_and_unique():
-    alloc = PrefixAllocator(IPv4Prefix.parse("185.0.20.0/24"))
-    a, b, c = alloc.allocate(), alloc.allocate(), alloc.allocate()
-    assert a.dotted == "185.0.20.1"
-    assert len({a, b, c}) == 3
-
-
-def test_allocator_exhaustion():
-    alloc = PrefixAllocator(IPv4Prefix.parse("10.0.0.0/30"))
-    alloc.allocate()
-    alloc.allocate()
-    with pytest.raises(RuntimeError):
-        alloc.allocate()   # only .1 and .2 usable in a /30
-
-
-def test_allocator_rejects_tiny_aggregates():
-    with pytest.raises(ValueError):
-        PrefixAllocator(IPv4Prefix.parse("10.0.0.0/31"))
-
-
-def test_allocate_subnet_is_aligned_and_disjoint():
-    alloc = PrefixAllocator(IPv4Prefix.parse("10.0.0.0/24"))
-    alloc.allocate()  # consume 10.0.0.1
-    sub1 = alloc.allocate_subnet(28)
-    sub2 = alloc.allocate_subnet(28)
-    assert sub1.aggregate.network.value % 16 == 0
-    assert sub2.aggregate.network.value == sub1.aggregate.network.value + 16
-    # Parent cursor moved past the carved subnets
-    nxt = alloc.allocate()
-    assert nxt.value >= sub2.aggregate.network.value + 16
-
-
-def test_allocate_subnet_overflow():
-    alloc = PrefixAllocator(IPv4Prefix.parse("10.0.0.0/28"))
-    with pytest.raises(RuntimeError):
-        alloc.allocate_subnet(26)  # /26 larger than the /28 aggregate
 
 
 # ---------------------------------------------------------------------------

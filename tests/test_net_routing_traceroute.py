@@ -1,4 +1,4 @@
-"""Tests for interdomain stitching, IXPs, traceroute and traffic matrices.
+"""Tests for interdomain stitching, IXPs and traceroute.
 
 Builds a miniature central-Europe internet exhibiting the paper's detour
 mechanism: two Klagenfurt ASes with no local interconnect whose traffic
@@ -7,7 +7,6 @@ must climb to Vienna transits.
 
 import pytest
 
-from repro import units
 from repro.geo import GeoPoint, KLAGENFURT, PRAGUE, VIENNA
 from repro.net import (
     ASGraph,
@@ -18,7 +17,6 @@ from repro.net import (
     NodeKind,
     RouteComputer,
     Topology,
-    TrafficMatrix,
     traceroute,
 )
 from repro.sim import RngRegistry
@@ -202,36 +200,3 @@ def test_traceroute_sampled_is_reproducible(europe):
     t1 = traceroute(topo, route, RngRegistry(5).stream("t"))
     t2 = traceroute(topo, route, RngRegistry(5).stream("t"))
     assert [h.rtt_s for h in t1.hops] == [h.rtt_s for h in t2.hops]
-
-
-def test_traffic_matrix_loads_links(europe):
-    topo, asg = europe
-    rc = RouteComputer(topo, asg)
-    tm = TrafficMatrix()
-    tm.add("ue", "probe", units.mbps(2000.0))
-    loads = tm.apply(rc)
-    assert loads  # at least one link loaded
-    assert topo.link("mob-vie", "tr-vie").utilisation > 0.0
-    TrafficMatrix.reset(rc)
-    assert topo.link("mob-vie", "tr-vie").utilisation == 0.0
-
-
-def test_traffic_matrix_caps_utilisation(europe):
-    topo, asg = europe
-    rc = RouteComputer(topo, asg)
-    tm = TrafficMatrix()
-    tm.add("ue", "probe", units.gbps(100.0))   # way over capacity
-    tm.apply(rc)
-    for link in topo.links():
-        assert link.utilisation < 1.0
-
-
-def test_traffic_matrix_validation():
-    tm = TrafficMatrix()
-    with pytest.raises(ValueError):
-        tm.add("a", "a", 1e6)
-    with pytest.raises(ValueError):
-        tm.add("a", "b", 0.0)
-    assert len(tm) == 0
-    tm.add("a", "b", 5e6)
-    assert tm.total_rate_bps == 5e6

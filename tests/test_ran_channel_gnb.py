@@ -1,21 +1,19 @@
-"""Tests for the channel model, gNB layer, scheduler and access/handover."""
+"""Tests for the channel model, gNB layer, scheduler and access."""
 
 import numpy as np
 import pytest
 
 from repro import units
-from repro.geo import CellId, GeoPoint, Grid
+from repro.geo import GeoPoint
 from repro.ran import (
     AccessProcedure,
     CellLoadModel,
     ChannelModel,
     GNodeB,
-    HandoverModel,
     RadioConfig,
     RadioNetwork,
     SchedulerPolicy,
 )
-from repro.geo.mobility import MobilitySample
 from repro.sim import RngRegistry
 
 CENTRE = GeoPoint(46.62, 14.30)
@@ -236,67 +234,6 @@ def test_access_validation():
         AccessProcedure(RadioConfig.nr_5g(), prach_period_s=0.0)
     with pytest.raises(ValueError):
         AccessProcedure(RadioConfig.nr_5g(), n_preambles=0)
-
-
-# ---------------------------------------------------------------------------
-# HandoverModel
-# ---------------------------------------------------------------------------
-
-def drive_east(grid, times=60):
-    """Straight west-to-east trace through both coverage areas."""
-    samples = []
-    for i in range(times):
-        pos = GeoPoint(46.62, 14.27 + i * 0.0012)
-        samples.append(MobilitySample(time=float(i), position=pos,
-                                      cell=grid.locate(pos)))
-    return samples
-
-
-def test_handover_triggers_on_crossing(channel, rng):
-    net = make_network(channel)
-    grid = Grid(GeoPoint(46.653, 14.255), cols=6, rows=7)
-    model = HandoverModel(net, time_to_trigger_s=1.0)
-    events = model.walk(drive_east(grid), rng)
-    assert len(events) >= 1
-    assert events[0].source == "gnb-west"
-    assert events[0].target == "gnb-east"
-
-
-def test_handover_interruption_by_generation(channel, rng):
-    net = make_network(channel)
-    model = HandoverModel(net)
-    gnb5 = net.gnb("gnb-east")
-    assert model.interruption_for(gnb5) == pytest.approx(45e-3)
-    gnb6 = GNodeB("gnb-6g", CENTRE, RadioConfig.nr_6g())
-    assert model.interruption_for(gnb6) == pytest.approx(0.5e-3)
-    sampled = model.sample_interruption(gnb5, rng)
-    assert 0.7 * 45e-3 <= sampled <= 1.3 * 45e-3
-
-
-def test_handover_hysteresis_blocks_marginal_switch(channel, rng):
-    net = make_network(channel)
-    grid = Grid(GeoPoint(46.653, 14.255), cols=6, rows=7)
-    tight = HandoverModel(net, a3_offset_db=0.5, time_to_trigger_s=1.0)
-    loose = HandoverModel(net, a3_offset_db=30.0, time_to_trigger_s=1.0)
-    assert len(loose.walk(drive_east(grid), rng)) <= \
-        len(tight.walk(drive_east(grid), rng))
-
-
-def test_handover_total_interruption(channel, rng):
-    net = make_network(channel)
-    grid = Grid(GeoPoint(46.653, 14.255), cols=6, rows=7)
-    model = HandoverModel(net, time_to_trigger_s=1.0)
-    events = model.walk(drive_east(grid), rng)
-    assert model.total_interruption(events) == pytest.approx(
-        sum(e.interruption_s for e in events))
-
-
-def test_handover_validation(channel):
-    net = make_network(channel)
-    with pytest.raises(ValueError):
-        HandoverModel(net, a3_offset_db=-1.0)
-    with pytest.raises(ValueError):
-        HandoverModel(net, interruption_jitter=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,7 @@ from repro.geo import KLAGENFURT
 from repro.ran import (
     ControlProcedure,
     NearRTRIC,
-    NonRTRIC,
     RicTier,
-    ServiceManagementOrchestration,
     SignallingLeg,
     XApp,
 )
@@ -39,13 +37,6 @@ def test_near_rt_ric_deployment():
         ric.deploy(XApp("trainer", RicTier.NON_REAL_TIME, processing_s=10.0))
     with pytest.raises(KeyError):
         ric.xapp("missing")
-
-
-def test_smo_policy_deployment_latency():
-    ric = NearRTRIC("ric", KLAGENFURT, e2_latency_s=2e-3)
-    smo = ServiceManagementOrchestration(
-        "smo", NonRTRIC("non-rt", a1_latency_s=0.4))
-    assert smo.policy_deployment_latency(ric) == pytest.approx(0.402)
 
 
 def test_control_procedure_accumulates_legs():

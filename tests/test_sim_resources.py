@@ -1,9 +1,8 @@
-"""Unit tests for resources, stores and containers."""
+"""Unit tests for resources and stores."""
 
 import pytest
 
 from repro.sim import (
-    Container,
     PriorityResource,
     Resource,
     SimulationError,
@@ -229,62 +228,3 @@ def test_store_capacity_validation():
     sim = Simulator()
     with pytest.raises(ValueError):
         Store(sim, capacity=0)
-
-
-# ---------------------------------------------------------------------------
-# Container
-# ---------------------------------------------------------------------------
-
-def test_container_get_blocks_until_level_sufficient():
-    sim = Simulator()
-    tank = Container(sim, capacity=100.0, init=0.0)
-
-    def getter():
-        yield tank.get(10.0)
-        return sim.now
-
-    def putter():
-        yield sim.timeout(2.0)
-        yield tank.put(10.0)
-
-    p = sim.process(getter())
-    sim.process(putter())
-    sim.run()
-    assert p.value == 2.0
-    assert tank.level == 0.0
-
-
-def test_container_put_blocks_when_over_capacity():
-    sim = Simulator()
-    tank = Container(sim, capacity=10.0, init=10.0)
-
-    def putter():
-        yield tank.put(5.0)
-        return sim.now
-
-    def drainer():
-        yield sim.timeout(4.0)
-        yield tank.get(6.0)
-
-    p = sim.process(putter())
-    sim.process(drainer())
-    sim.run()
-    assert p.value == 4.0
-    assert tank.level == 9.0
-
-
-def test_container_init_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Container(sim, capacity=5.0, init=6.0)
-    with pytest.raises(ValueError):
-        Container(sim, capacity=0.0)
-
-
-def test_container_negative_amounts_rejected():
-    sim = Simulator()
-    tank = Container(sim, capacity=5.0)
-    with pytest.raises(ValueError):
-        tank.put(-1.0)
-    with pytest.raises(ValueError):
-        tank.get(-1.0)

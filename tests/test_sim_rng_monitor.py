@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import RngRegistry, SeriesMonitor, TimeWeightedMonitor
+from repro.sim import RngRegistry, SeriesMonitor
 from repro.sim.rng import stable_seed
 
 
@@ -155,48 +155,3 @@ def test_series_monitor_matches_numpy(values):
     assert s.mean == pytest.approx(np.mean(values), rel=1e-9, abs=1e-9)
     assert s.minimum == min(values)
     assert s.maximum == max(values)
-
-
-# ---------------------------------------------------------------------------
-# TimeWeightedMonitor
-# ---------------------------------------------------------------------------
-
-def test_time_weighted_mean_simple():
-    mon = TimeWeightedMonitor(initial=0.0)
-    mon.update(10.0, 1.0)   # 0 for 10s
-    mon.update(20.0, 0.0)   # 1 for 10s
-    assert mon.mean() == pytest.approx(0.5)
-
-
-def test_time_weighted_mean_with_until_extension():
-    mon = TimeWeightedMonitor(initial=2.0)
-    mon.update(5.0, 4.0)    # 2 for 5s
-    # then 4 until t=15 -> mean = (2*5 + 4*10)/15 = 50/15
-    assert mon.mean(until=15.0) == pytest.approx(50.0 / 15.0)
-
-
-def test_time_weighted_std_constant_signal_is_zero():
-    mon = TimeWeightedMonitor(initial=3.0)
-    mon.update(5.0, 3.0)
-    mon.update(9.0, 3.0)
-    assert mon.std() == pytest.approx(0.0, abs=1e-12)
-
-
-def test_time_weighted_min_max_track_extremes():
-    mon = TimeWeightedMonitor(initial=5.0)
-    mon.update(1.0, -2.0)
-    mon.update(2.0, 11.0)
-    assert mon.minimum == -2.0
-    assert mon.maximum == 11.0
-
-
-def test_time_going_backwards_rejected():
-    mon = TimeWeightedMonitor()
-    mon.update(5.0, 1.0)
-    with pytest.raises(ValueError):
-        mon.update(4.0, 2.0)
-
-
-def test_mean_before_any_update_returns_current():
-    mon = TimeWeightedMonitor(initial=7.0)
-    assert mon.mean() == 7.0
