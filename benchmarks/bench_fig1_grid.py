@@ -8,12 +8,12 @@ Timed work: full scenario construction (grid + population + radio +
 internet topology + BGP tables + campaign config).
 """
 
-from repro.core import KlagenfurtScenario
 from repro.geo.grid import CellId
+from repro.scenarios import build, klagenfurt
 
 
 def test_fig1_scenario_construction(benchmark):
-    scenario = benchmark(KlagenfurtScenario, 42)
+    scenario = benchmark(lambda: build(klagenfurt(), seed=42))
 
     # Fig. 1 facts.
     assert scenario.grid.cols == 6 and scenario.grid.rows == 7

@@ -13,12 +13,12 @@ RTT measurements through radio + core + policy-routed internet).
 import pytest
 
 from repro import units
-from repro.core import KlagenfurtScenario
+from repro.scenarios import build, klagenfurt
 
 
 def test_fig2_campaign(benchmark, evaluation):
     def run_campaign():
-        scenario = KlagenfurtScenario(seed=42)
+        scenario = build(klagenfurt(), seed=42)
         return scenario.statistics(scenario.run_campaign(2.0))
 
     stats_small = benchmark(run_campaign)

@@ -14,12 +14,13 @@ re-convergence, re-trace.
 import pytest
 
 from repro import units
-from repro.core import KlagenfurtScenario, LocalPeeringExperiment
+from repro.core import LocalPeeringExperiment
+from repro.scenarios import build, klagenfurt
 
 
 def test_local_peering_experiment(benchmark):
     def run_experiment():
-        scenario = KlagenfurtScenario(seed=42)
+        scenario = build(klagenfurt(), seed=42)
         return LocalPeeringExperiment(scenario).run()
 
     outcome = benchmark(run_experiment)

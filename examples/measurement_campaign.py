@@ -16,11 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from repro import units
-from repro.core import GapAnalysis, KlagenfurtScenario
+from repro.core import InfrastructureEvaluation
 from repro.geo.grid import CellId
+from repro.scenarios import BuiltScenario, build, klagenfurt
 
 
-def inspect_radio(scenario: KlagenfurtScenario) -> None:
+def inspect_radio(scenario: BuiltScenario) -> None:
     print("Radio layer:")
     for gnb in scenario.radio.gnbs():
         cell = scenario.grid.locate(gnb.location)
@@ -36,16 +37,13 @@ def inspect_radio(scenario: KlagenfurtScenario) -> None:
 
 
 def run_and_summarise(seed: int, positions: float) -> None:
-    scenario = KlagenfurtScenario(seed=seed)
-    dataset = scenario.run_campaign(positions)
-    stats = scenario.statistics(dataset)
-    gap = GapAnalysis().report(stats, scenario.wired_baseline())
+    result = InfrastructureEvaluation(seed, positions).run()
     print(f"\nseed={seed}, ~{positions:.0f} positions/cell "
-          f"-> {len(dataset)} samples")
-    print("  " + gap.summary().replace("\n", "\n  "))
+          f"-> {len(result.dataset)} samples")
+    print("  " + result.gap.summary().replace("\n", "\n  "))
 
 
-def export_csv(scenario: KlagenfurtScenario) -> None:
+def export_csv(scenario: BuiltScenario) -> None:
     dataset = scenario.run_campaign(2.0)
     path = Path(tempfile.gettempdir()) / "klagenfurt_campaign.csv"
     dataset.save_csv(path)
@@ -59,11 +57,10 @@ def export_csv(scenario: KlagenfurtScenario) -> None:
 
 
 def main() -> None:
-    scenario = KlagenfurtScenario(seed=42)
-    inspect_radio(scenario)
+    inspect_radio(build(klagenfurt(), seed=42))
     run_and_summarise(seed=42, positions=6.0)
     run_and_summarise(seed=1234, positions=6.0)
-    export_csv(KlagenfurtScenario(seed=42))
+    export_csv(build(klagenfurt(), seed=42))
 
 
 if __name__ == "__main__":

@@ -10,12 +10,13 @@ Run:  python examples/peering_study.py
 """
 
 from repro import units
-from repro.core import KlagenfurtScenario, LocalPeeringExperiment
+from repro.core import LocalPeeringExperiment
 from repro.net import traceroute
+from repro.scenarios import build, klagenfurt
 
 
 def main() -> None:
-    scenario = KlagenfurtScenario(seed=42)
+    scenario = build(klagenfurt(), seed=42)
     experiment = LocalPeeringExperiment(scenario)
 
     print("BEFORE — the measured reality (Table I):\n")

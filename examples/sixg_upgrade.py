@@ -15,25 +15,21 @@ Run:  python examples/sixg_upgrade.py
 
 from repro import units
 from repro.core import (
-    GapAnalysis,
-    KlagenfurtScenario,
+    InfrastructureEvaluation,
     SixGUpgradeStudy,
     render_comparison_table,
     render_grid_heatmap,
 )
-from repro.ran import RadioConfig
 
 
 def main() -> None:
-    arms = SixGUpgradeStudy.ARMS
+    study = SixGUpgradeStudy()
     rows = []
     heatmaps = {}
-    for arm in arms:
-        radio = RadioConfig.nr_6g() if arm.radio_config == "6g" else None
-        scenario = KlagenfurtScenario(seed=42, radio_config=radio,
-                                      edge_breakout=arm.edge_breakout)
-        stats = scenario.statistics(scenario.run_campaign(4.0))
-        gap = GapAnalysis().report(stats, scenario.wired_baseline())
+    for arm in study.ARMS:
+        result = InfrastructureEvaluation(
+            42, 4.0, scenario=study.arm_spec(arm)).run()
+        gap = result.gap
         rows.append([
             arm.name,
             units.to_ms(gap.mobile_mean_s),
@@ -42,7 +38,7 @@ def main() -> None:
             "yes" if SixGUpgradeStudy.meets_requirement(gap) else "no",
         ])
         heatmaps[arm.name] = render_grid_heatmap(
-            scenario.grid, stats.mean_matrix_ms(),
+            result.scenario.grid, result.statistics.mean_matrix_ms(),
             title=f"Mean RTL — {arm.name}")
 
     print(render_comparison_table(

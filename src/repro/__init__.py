@@ -11,7 +11,7 @@ Subpackages:
 * :mod:`repro.probes` — measurement framework (drive-test campaign)
 * :mod:`repro.apps` — application workloads (AR game, IoT, domains)
 * :mod:`repro.scenarios` — declarative scenario specs + the compiler
-* :mod:`repro.core` — the paper's analysis: scenario, evaluation, remedies
+* :mod:`repro.core` — the paper's analysis: evaluation, remedies, studies
 
 Quickstart::
 
@@ -25,7 +25,7 @@ city (or a JSON-loaded spec) runs through the same pipeline::
 
     from repro.scenarios import build, klagenfurt
 
-    scenario = build(klagenfurt(), seed=42)   # == KlagenfurtScenario(42)
+    scenario = build(klagenfurt(), seed=42)
     print(scenario.reference_trace().render_table())
 
     result = InfrastructureEvaluation(seed=42, scenario="skopje").run()

@@ -35,11 +35,13 @@ lint          statically check the determinism contracts (REP001..
               ``[tool.repro-lint]`` and the committed baseline; exit 1
               on any new finding (``--select``/``--ignore`` filter by
               code or family, ``--explain REPxxx`` documents one rule)
-peering       run the Section V-A local-peering what-if
+peering       run the Section V-A local-peering what-if (Klagenfurt
+              only: ``--scenario``/``--spec`` are rejected)
 upf           run the Section V-B UPF placement comparison
 cpf           run the Section V-C control-plane comparison
 requirements  print the Section III requirements matrix
-upgrade       run the Section VI 6G upgrade arms
+upgrade       run the Section VI 6G upgrade arms (Klagenfurt only, as
+              ``peering``)
 """
 
 from __future__ import annotations
@@ -72,6 +74,16 @@ def _resolve_spec(args: argparse.Namespace):
     except (KeyError, OSError, TypeError, ValueError) as exc:
         _print_error(exc)
         return None
+
+
+def _klagenfurt_only(args: argparse.Namespace) -> bool:
+    """Whether no other world was selected; reports the error if one
+    was.  The what-ifs name Klagenfurt's nodes and factory flags."""
+    if args.scenario == "klagenfurt" and not args.spec:
+        return True
+    _print_error(ValueError(f"{args.command} studies Klagenfurt only; "
+                            f"it takes no --scenario or --spec"))
+    return False
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -398,10 +410,13 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 def cmd_peering(args: argparse.Namespace) -> int:
     from . import units
-    from .core import KlagenfurtScenario, LocalPeeringExperiment
+    from .core import LocalPeeringExperiment
+    from .scenarios import build, klagenfurt
 
+    if not _klagenfurt_only(args):
+        return 2
     outcome = LocalPeeringExperiment(
-        KlagenfurtScenario(seed=args.seed)).run()
+        build(klagenfurt(), seed=args.seed)).run()
     print(f"AS path {outcome.before_as_path} -> {outcome.after_as_path}")
     print(f"route   {outcome.before_path_km:.0f} km -> "
           f"{outcome.after_path_km:.1f} km")
@@ -463,6 +478,8 @@ def cmd_upgrade(args: argparse.Namespace) -> int:
     from . import units
     from .core import SixGUpgradeStudy, render_comparison_table
 
+    if not _klagenfurt_only(args):
+        return 2
     reports = SixGUpgradeStudy(seed=args.seed,
                                mean_positions_per_cell=2.0).run()
     rows = []

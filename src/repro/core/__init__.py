@@ -15,7 +15,6 @@ __all__ = [
     "render_comparison_table", "render_grid_heatmap",
     "FIVE_G_CAPABILITY", "SIX_G_CAPABILITY", "GenerationCapability",
     "RequirementsAnalysis", "RequirementVerdict",
-    "KlagenfurtScenario",
     "KnobResult", "SensitivityAnalysis",
     "HypervisorPlacementStudy", "SlicingOutcome", "SlicingStudy",
     "DynamicUpfSelector", "UpfDeployment", "UpfPlacementStudy",
@@ -34,7 +33,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".requirements": ("FIVE_G_CAPABILITY", "SIX_G_CAPABILITY",
                       "GenerationCapability", "RequirementsAnalysis",
                       "RequirementVerdict"),
-    ".scenario": ("KlagenfurtScenario",),
     ".sensitivity": ("KnobResult", "SensitivityAnalysis"),
     ".slicing_strategy": ("HypervisorPlacementStudy", "SlicingOutcome",
                           "SlicingStudy"),

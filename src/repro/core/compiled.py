@@ -17,9 +17,10 @@ any spec sharing that key — bit-identical to a from-scratch
 * the wired baseline and the route walk live on their own named
   streams, so hoisting them to compile time is invisible;
 * sampling-layer config is reconstructed from the *variant* spec on
-  top of the compiled draws, mirroring
-  ``BuiltScenario._build_campaign_config`` (anchors overwrite the
-  seeded draws without consuming any stream).
+  top of the compiled draws by
+  :func:`~repro.scenarios.build.with_sampling_layer`, the helper the
+  build itself uses (anchors overwrite the seeded draws without
+  consuming any stream).
 
 The object is deliberately lean — no topology, no routing graphs, no
 generators — so it pickles quickly into the on-disk compiled store
@@ -28,16 +29,15 @@ generators — so it pickles quickly into the on-disk compiled store
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Optional
 
 import numpy as np
 
 from ..geo.grid import CellId, Grid
-from ..probes.campaign import CampaignConfig, MobilePeer
+from ..probes.campaign import CampaignConfig
 from ..probes.kernel import CampaignKernel, KernelPrecompute, sample_run
 from ..probes.stats import CellStatistics
-from ..scenarios.build import build
+from ..scenarios.build import build, with_sampling_layer
 from ..scenarios.identity import build_key
 from ..scenarios.spec import ScenarioSpec
 from ..sim.rng import RngRegistry
@@ -79,35 +79,18 @@ class CompiledScenario:
         self._site_count = len(self.precompute.gnb_names)
 
     def _variant_config(self, spec: ScenarioSpec) -> CampaignConfig:
-        """The sampling-layer config of ``spec`` over the shared build.
-
-        Mirrors ``BuiltScenario._build_campaign_config`` for every
-        sampling-layer field; build-layer fields come verbatim from the
-        base config (the ``build_key`` check guarantees they match).
-        """
+        """The sampling-layer config of ``spec`` over the shared build;
+        build-layer fields come verbatim from the base config (the
+        ``build_key`` check guarantees they match)."""
         camp = spec.campaign
-        extra_load = dict(self._extra_load_draws)
-        for label, value in camp.extra_load_anchors:
-            extra_load[CellId.from_label(label)] = value
-        peers = {p.name: MobilePeer(
-            name=p.name, air_load=p.air_load, sinr_db=p.sinr_db,
-            gateway=p.gateway) for p in camp.peers}
         # Same guard DriveTestCampaign.__init__ applies, since no
         # campaign object exists on this path.
         if camp.peer_site_index >= self._site_count:
             raise ValueError(
                 f"peer site index {camp.peer_site_index} out of range: "
                 f"radio network has {self._site_count} sites")
-        return dataclasses.replace(
-            self._base_config,
-            peers=peers,
-            cell_extra_load=extra_load,
-            handover_prob={CellId.from_label(label): p
-                           for label, p in camp.handover_prob},
-            handover_interruption_s=camp.handover_interruption_s,
-            max_cell_load=camp.max_cell_load,
-            peer_site_index=camp.peer_site_index,
-        )
+        return with_sampling_layer(self._base_config, camp,
+                                   self._extra_load_draws)
 
     def evaluate(self, spec: ScenarioSpec, *,
                  block_cache: Optional[dict[Any, np.ndarray]] = None,
@@ -134,17 +117,9 @@ class CompiledScenario:
                              RngRegistry(self.seed).stream, block_cache)
         stats = CellStatistics(self._grid, dataset)
         gap = GapAnalysis().report(stats, self.wired_rtts_s)
-        return EvaluationSummary(
-            scenario=spec.name,
-            seed=self.seed,
-            mean_positions_per_cell=self.density,
-            sample_count=len(dataset),
-            mean_matrix_ms=stats.mean_matrix_ms().tolist(),
-            std_matrix_ms=stats.std_matrix_ms().tolist(),
-            count_matrix=stats.count_matrix().tolist(),
-            gap=gap,
-            detour_km=self.detour_km,
-        )
+        return EvaluationSummary.of_run(
+            spec.name, self.seed, self.density, len(dataset), stats, gap,
+            self.detour_km)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"CompiledScenario(key={self.build_key[:12]}..., "

@@ -3,9 +3,10 @@
 :class:`InfrastructureEvaluation` is the facade an end user (and every
 figure bench) goes through: build the scenario, run the drive test,
 aggregate per cell, compute the gap report, and render the figures.
-Any compiled :class:`~repro.scenarios.build.BuiltScenario` works — pass
-a registered scenario name (``"klagenfurt"``, ``"skopje"``, ...), a
-:class:`~repro.scenarios.spec.ScenarioSpec`, or a pre-built scenario.
+Any world works — pass a registered scenario name (``"klagenfurt"``,
+``"skopje"``, ...) or a :class:`~repro.scenarios.spec.ScenarioSpec`;
+what-if studies evaluate a spec variant
+(:meth:`~repro.scenarios.spec.ScenarioSpec.with_overrides`) here.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Union
+from typing import Any, Callable, Mapping, Union
 
 import numpy as np
 
@@ -67,6 +68,24 @@ class EvaluationSummary:
         if isinstance(self.gap, Mapping):
             object.__setattr__(self, "gap", GapReport(**self.gap))
 
+    @classmethod
+    def of_run(cls, scenario: str, seed: int, density: float,
+               sample_count: int, stats: CellStatistics, gap: GapReport,
+               detour_km: float) -> "EvaluationSummary":
+        """The summary of one run from its per-cell statistics; the
+        full pipeline and the compiled replay both build it here."""
+        return cls(
+            scenario=scenario,
+            seed=seed,
+            mean_positions_per_cell=density,
+            sample_count=sample_count,
+            mean_matrix_ms=stats.mean_matrix_ms().tolist(),
+            std_matrix_ms=stats.std_matrix_ms().tolist(),
+            count_matrix=stats.count_matrix().tolist(),
+            gap=gap,
+            detour_km=detour_km,
+        )
+
     @property
     def mobile_mean_s(self) -> float:
         return self.gap.mobile_mean_s
@@ -113,17 +132,10 @@ class EvaluationResult:
 
     def summary(self) -> EvaluationSummary:
         """The run reduced to its portable summary record."""
-        return EvaluationSummary(
-            scenario=self.scenario.spec.name,
-            seed=self.scenario.seed,
-            mean_positions_per_cell=self.mean_positions_per_cell,
-            sample_count=len(self.dataset),
-            mean_matrix_ms=self.statistics.mean_matrix_ms().tolist(),
-            std_matrix_ms=self.statistics.std_matrix_ms().tolist(),
-            count_matrix=self.statistics.count_matrix().tolist(),
-            gap=self.gap,
-            detour_km=self.figure4_km(),
-        )
+        return EvaluationSummary.of_run(
+            self.scenario.spec.name, self.scenario.seed,
+            self.mean_positions_per_cell, len(self.dataset),
+            self.statistics, self.gap, self.figure4_km())
 
     def figure2(self) -> str:
         """Fig. 2: urban mean round-trip time latency heatmap."""
@@ -206,14 +218,9 @@ class InfrastructureEvaluation:
             else get_spec(self.scenario)
         return compile_spec(spec, seed=self.seed)
 
-    def run(self, scenario: Optional[BuiltScenario] = None
-            ) -> EvaluationResult:
-        """Execute the campaign and derive all artifacts.
-
-        An explicitly passed pre-built ``scenario`` wins over the
-        configured name/spec.
-        """
-        sc = scenario if scenario is not None else self.build_scenario()
+    def run(self) -> EvaluationResult:
+        """Build the world, execute the campaign, derive all artifacts."""
+        sc = self.build_scenario()
         dataset = sc.run_campaign(self.mean_positions_per_cell)
         stats = sc.statistics(dataset)
         wired = sc.wired_baseline()

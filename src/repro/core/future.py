@@ -26,8 +26,10 @@ import numpy as np
 from .. import units
 from ..apps.federated import FederatedConfig, FederatedRoundModel
 from ..ran.spectrum import RadioConfig
-from .gap import GapAnalysis, GapReport
-from .scenario import KlagenfurtScenario
+from ..scenarios.klagenfurt import klagenfurt
+from ..scenarios.spec import ScenarioSpec
+from .evaluation import InfrastructureEvaluation
+from .gap import GapReport
 
 __all__ = ["UpgradeArm", "SixGUpgradeStudy", "FederatedEdgeStudy",
            "PredictiveSlicingStudy"]
@@ -42,7 +44,7 @@ class UpgradeArm:
     """One deployment arm of the upgrade study."""
 
     name: str
-    radio_config: Optional[RadioConfig]   #: None = deployed 5G
+    sixg: bool            #: 6G radio on the same sites (else deployed 5G)
     edge_breakout: bool
 
 
@@ -50,10 +52,10 @@ class SixGUpgradeStudy:
     """Re-runs the whole Section IV campaign over upgrade arms."""
 
     ARMS: tuple[UpgradeArm, ...] = (
-        UpgradeArm("5G (measured)", None, False),
-        UpgradeArm("5G + edge breakout", None, True),
-        UpgradeArm("6G radio, core unchanged", "6g", False),
-        UpgradeArm("6G + edge breakout", "6g", True),
+        UpgradeArm("5G (measured)", False, False),
+        UpgradeArm("5G + edge breakout", False, True),
+        UpgradeArm("6G radio, core unchanged", True, False),
+        UpgradeArm("6G + edge breakout", True, True),
     )
 
     def __init__(self, seed: int = 42,
@@ -61,15 +63,17 @@ class SixGUpgradeStudy:
         self.seed = seed
         self.mean_positions_per_cell = mean_positions_per_cell
 
+    def arm_spec(self, arm: UpgradeArm) -> ScenarioSpec:
+        """The Klagenfurt world as deployed under ``arm``."""
+        return klagenfurt(
+            radio_config=RadioConfig.nr_6g() if arm.sixg else None,
+            edge_breakout=arm.edge_breakout)
+
     def run_arm(self, arm: UpgradeArm) -> GapReport:
         """One campaign under one deployment arm."""
-        radio = RadioConfig.nr_6g() if arm.radio_config == "6g" else None
-        scenario = KlagenfurtScenario(
-            seed=self.seed, radio_config=radio,
-            edge_breakout=arm.edge_breakout)
-        stats = scenario.statistics(
-            scenario.run_campaign(self.mean_positions_per_cell))
-        return GapAnalysis().report(stats, scenario.wired_baseline())
+        return InfrastructureEvaluation(
+            self.seed, self.mean_positions_per_cell,
+            scenario=self.arm_spec(arm)).run().gap
 
     def run(self) -> dict[str, GapReport]:
         """All arms; key = arm name."""

@@ -5,11 +5,12 @@ exchange, land the mobile operator and the local eyeball ISP on it, and
 peer them directly.  The Vienna-Prague-Bucharest-Vienna transit chain
 collapses to a metro hop.
 
-The experiment is executed against a built
-:class:`~repro.core.scenario.KlagenfurtScenario`: it measures the
-gateway-to-probe path before and after, re-running BGP with the added
-``p2p`` edge — the same machinery that produced the detour now removes
-it, which is the point.
+The experiment runs against a built Klagenfurt world,
+``build(klagenfurt(), seed)``; it names that world's nodes (``ue-c2``,
+``probe-uni``, ``ascus-core``), so it studies Klagenfurt only.  It
+measures the gateway-to-probe path before and after, re-running BGP
+with the added ``p2p`` edge — the same machinery that produced the
+detour now removes it, which is the point.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .. import units
 from ..geo.coords import GeoPoint
 from ..net.ixp import InternetExchange
 from ..net.traceroute import TracerouteResult, traceroute
-from .scenario import AS_EYEBALL, AS_MOBILE, KlagenfurtScenario
+from ..scenarios.build import BuiltScenario
+from ..scenarios.klagenfurt import AS_EYEBALL, AS_MOBILE
 
 __all__ = ["PeeringOutcome", "LocalPeeringExperiment"]
 
@@ -61,7 +63,7 @@ class LocalPeeringExperiment:
     operators actually deploy local peering (UPF breakout + IX port).
     """
 
-    def __init__(self, scenario: KlagenfurtScenario):
+    def __init__(self, scenario: BuiltScenario):
         self.scenario = scenario
         self._applied = False
 

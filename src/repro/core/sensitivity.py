@@ -14,14 +14,11 @@ campaign, and reports elasticities of the headline metrics
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
 
-import numpy as np
-
-from .. import units
-from .gap import GapAnalysis, GapReport
-from .scenario import KlagenfurtScenario
+from ..scenarios.klagenfurt import klagenfurt
+from ..scenarios.spec import ScenarioSpec
+from .evaluation import InfrastructureEvaluation
 
 __all__ = ["KnobResult", "SensitivityAnalysis"]
 
@@ -47,57 +44,62 @@ class KnobResult:
 
 
 class SensitivityAnalysis:
-    """One-at-a-time perturbation of the calibrated knobs."""
+    """One-at-a-time perturbation of the calibrated knobs.
 
-    #: knob name -> function(scenario-kwargs-free scale application)
+    Each perturbation is a spec variant of :func:`klagenfurt`
+    (:meth:`spec_for`), evaluated by the same
+    :class:`~repro.core.evaluation.InfrastructureEvaluation` pipeline as
+    every other run.
+    """
+
+    KNOBS = ("buffer_service", "cgnat_load", "cell_load", "peer_load",
+             "handover_interruption")
+
     def __init__(self, seed: int = 42,
                  mean_positions_per_cell: float = 3.0):
         self.seed = seed
         self.positions = mean_positions_per_cell
 
-    # -- knob application -----------------------------------------------
+    def spec_for(self, knob: str, scale: float) -> ScenarioSpec:
+        """The Klagenfurt spec with one knob scaled by ``scale``.
 
-    def _scenario_with(self, knob: str, scale: float) -> KlagenfurtScenario:
-        scenario = KlagenfurtScenario(seed=self.seed)
-        cfg = scenario.campaign_config
+        ``cell_load`` scales the range of the seeded per-cell draws and
+        the anchors; the two load knobs are capped below saturation.
+        """
+        spec = klagenfurt()
+        camp = spec.campaign
         if knob == "buffer_service":
-            new_radio = replace(scenario.radio_config,
-                                buffer_service_s=scenario.radio_config.
-                                buffer_service_s * scale)
-            for gnb in scenario.radio.gnbs():
-                gnb.config = new_radio
+            patch = {"radio.buffer_service_s":
+                     spec.radio.buffer_service_s * scale}
         elif knob == "cgnat_load":
-            vienna = cfg.gateways["vienna"]
-            new_load = min(vienna.upf.load * scale, 0.97)
-            cfg.gateways = dict(cfg.gateways, vienna=type(vienna)(
-                vienna.name, vienna.node_name,
-                vienna.upf.with_load(new_load)))
+            index = next(i for i, gateway in enumerate(camp.gateways)
+                         if gateway.name == "vienna")
+            patch = {f"campaign.gateways.{index}.load":
+                     min(camp.gateways[index].load * scale, 0.97)}
         elif knob == "cell_load":
-            cfg.cell_extra_load = {
-                cell: extra * scale
-                for cell, extra in cfg.cell_extra_load.items()}
+            lo, hi = camp.extra_load_range
+            patch = {"campaign.extra_load_range": (lo * scale, hi * scale),
+                     "campaign.extra_load_anchors": tuple(
+                         (label, extra * scale)
+                         for label, extra in camp.extra_load_anchors)}
         elif knob == "peer_load":
-            cfg.peers = {
-                name: replace(peer,
-                              air_load=min(peer.air_load * scale, 0.92))
-                for name, peer in cfg.peers.items()}
+            patch = {f"campaign.peers.{i}.air_load":
+                     min(peer.air_load * scale, 0.92)
+                     for i, peer in enumerate(camp.peers)}
         elif knob == "handover_interruption":
-            cfg.handover_interruption_s *= scale
+            patch = {"campaign.handover_interruption_s":
+                     camp.handover_interruption_s * scale}
         else:
             raise KeyError(f"unknown knob {knob!r}")
-        return scenario
-
-    KNOBS = ("buffer_service", "cgnat_load", "cell_load", "peer_load",
-             "handover_interruption")
+        return spec.with_overrides(patch)
 
     # -- runs -----------------------------------------------------------------
 
     def run_knob(self, knob: str, scale: float) -> KnobResult:
         """Re-run the campaign with one knob scaled by ``scale``."""
-        scenario = self._scenario_with(knob, scale)
-        stats = scenario.statistics(
-            scenario.run_campaign(self.positions))
-        gap = GapAnalysis().report(stats, scenario.wired_baseline())
+        gap = InfrastructureEvaluation(
+            self.seed, self.positions,
+            scenario=self.spec_for(knob, scale)).run().gap
         return KnobResult(
             knob=knob, scale=scale,
             mobile_mean_s=gap.mobile_mean_s,

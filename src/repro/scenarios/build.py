@@ -17,7 +17,8 @@ in grid order — equal spec + equal seed gives a bit-identical campaign.
 
 from __future__ import annotations
 
-from typing import Optional
+import dataclasses
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -47,9 +48,9 @@ from ..probes.results import MeasurementDataset
 from ..probes.stats import CellStatistics
 from ..ran.gnb import GNodeB, RadioNetwork
 from ..sim.rng import RngRegistry
-from .spec import ScenarioSpec
+from .spec import CampaignSpec, ScenarioSpec
 
-__all__ = ["BuiltScenario", "build", "build_count"]
+__all__ = ["BuiltScenario", "build", "build_count", "with_sampling_layer"]
 
 #: Process-wide count of scenario compilations.  Instrumentation for
 #: the build/run split: tests and benchmarks snapshot it around a sweep
@@ -61,6 +62,35 @@ _BUILD_COUNT = 0
 def build_count() -> int:
     """How many :class:`BuiltScenario` compilations this process ran."""
     return _BUILD_COUNT
+
+
+def with_sampling_layer(config: CampaignConfig, camp: CampaignSpec,
+                        extra_load_draws: Mapping[CellId, float]
+                        ) -> CampaignConfig:
+    """``config`` with every sampling-layer field taken from ``camp``.
+
+    The per-cell extra load is ``extra_load_draws`` with the spec's
+    anchors written over them (no stream is consumed); peers, the
+    handover table, the interruption, the load cap and the peer site
+    index come straight from ``camp``.  The build and the compiled
+    replay (:class:`~repro.core.compiled.CompiledScenario`) both go
+    through here, which keeps them bit-identical.
+    """
+    extra_load = dict(extra_load_draws)
+    for label, value in camp.extra_load_anchors:
+        extra_load[CellId.from_label(label)] = value
+    return dataclasses.replace(
+        config,
+        peers={peer.name: MobilePeer(
+            name=peer.name, air_load=peer.air_load, sinr_db=peer.sinr_db,
+            gateway=peer.gateway) for peer in camp.peers},
+        cell_extra_load=extra_load,
+        handover_prob={CellId.from_label(label): p
+                       for label, p in camp.handover_prob},
+        handover_interruption_s=camp.handover_interruption_s,
+        max_cell_load=camp.max_cell_load,
+        peer_site_index=camp.peer_site_index,
+    )
 
 
 class BuiltScenario:
@@ -171,45 +201,29 @@ class BuiltScenario:
             tier=SiteTier(g.tier), pipeline_s=g.pipeline_s,
             rule_count=g.rule_count, throughput_bps=g.throughput_bps,
             load=g.load)) for g in camp.gateways}
-        peers = {p.name: MobilePeer(
-            name=p.name, air_load=p.air_load, sinr_db=p.sinr_db,
-            gateway=p.gateway) for p in camp.peers}
-
-        # Per-cell congestion field: seeded spatial noise plus anchors.
-        # Draws consume the stream in grid order so equal specs + equal
-        # seeds stay bit-identical (the anchors overwrite afterwards,
-        # exactly like the original Klagenfurt construction).
+        # Per-cell congestion field: seeded spatial noise, one draw per
+        # traversed cell in grid order so equal specs + equal seeds stay
+        # bit-identical.  The draws are build-layer state (they consumed
+        # the stream); the anchors written over them are sampling-layer
+        # state, so a compiled scenario keeps the draws and re-applies
+        # any variant's anchors without touching the stream.
         draws: dict[CellId, float] = {}
         if camp.extra_load_range is not None:
             lo, hi = camp.extra_load_range
             load_rng = self.rng.stream("scenario.load")
             for cell in self.traversed_cells:
                 draws[cell] = float(load_rng.uniform(lo, hi))
-        # The pre-anchor draws are build-layer state (they consumed the
-        # stream); anchors are sampling-layer overwrites.  Keeping the
-        # draws lets a compiled scenario re-apply any variant's anchors
-        # without touching the stream.
         self.extra_load_draws = draws
-        extra_load = dict(draws)
-        for label, value in camp.extra_load_anchors:
-            extra_load[CellId.from_label(label)] = value
 
-        self.campaign_config = CampaignConfig(
+        self.campaign_config = with_sampling_layer(CampaignConfig(
             targets={CellId.from_label(label): tuple(names)
                      for label, names in camp.cell_targets},
             gateways=gateways,
             default_gateway=camp.default_gateway,
-            peers=peers,
             default_targets=tuple(camp.default_targets),
             gateway_by_cell={CellId.from_label(label): gw
                              for label, gw in camp.gateway_by_cell},
-            cell_extra_load=extra_load,
-            handover_prob={CellId.from_label(label): p
-                           for label, p in camp.handover_prob},
-            handover_interruption_s=camp.handover_interruption_s,
-            max_cell_load=camp.max_cell_load,
-            peer_site_index=camp.peer_site_index,
-        )
+        ), camp, draws)
 
     # ------------------------------------------------------------------
     # campaign execution + headline artifacts

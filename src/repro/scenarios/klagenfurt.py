@@ -9,9 +9,21 @@ six-site FR1 macro layer, and the per-cell calibration anchors
 (grid origin placed so the probe lands in E3, the population centre in
 D4) is computed here once and stored as concrete coordinates.
 
-The physical meaning of each calibration knob is documented in
-:mod:`repro.core.scenario`, which is now a thin compatibility wrapper
-compiling this spec.
+The calibration knobs and their physical meaning:
+
+* ``extra_load_range``/``extra_load_anchors`` — local scheduler
+  congestion on top of the site base load; drives both mean and
+  variance via buffer queueing.
+* ``gateway_by_cell`` — CGNAT breakout assignment.  B3's sessions break
+  out in **Frankfurt** over a long operator tunnel: a large
+  *deterministic* latency with almost no jitter, which is how a cell
+  gets a 60+ ms mean with a ~2 ms standard deviation.
+* ``handover_prob`` — fraction of measurement windows hit by a
+  handover/RLF interruption; E5 sits on a coverage boundary, giving it
+  the heaviest tail (the paper's 46.4 ms sigma).
+* per-cell target lists — eight mobile peers plus the university probe
+  by default; B3 measures the wired probe only (its quiet residential
+  peers were offline), removing peer-side air-interface variance.
 """
 
 from __future__ import annotations

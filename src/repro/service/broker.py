@@ -55,7 +55,7 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from ..fleet.cache import ResultCache, rebind_record
 from ..fleet.progress import ProgressEvent
@@ -282,14 +282,13 @@ class FleetBroker:
             raise BrokerBusy("server is draining; not accepting fleets",
                              retry_after_s=self.busy_retry_s)
         if self.max_fleets is not None:
-            running = sum(1 for f in self._fleets.values()
-                          if not f.complete)
+            running = sum(1 for _ in self._open_fleets())
             if running >= self.max_fleets:
                 raise BrokerBusy(
                     f"at max in-flight fleets ({self.max_fleets})",
                     retry_after_s=self.busy_retry_s)
         if self.max_pending is not None:
-            backlog = sum(1 for f in self._fleets.values()
+            backlog = sum(1 for f in self._open_fleets()
                           for s in f.slots if s.state != DONE)
             if backlog + incoming > self.max_pending:
                 raise BrokerBusy(
@@ -410,9 +409,7 @@ class FleetBroker:
                max_runs: int, now: float) -> list[LeaseGrant]:
         """Lease the next build-key group, or ``[]`` when nothing is
         pending.  Caller holds the lock."""
-        for fleet in self._fleets.values():
-            if fleet.complete:
-                continue
+        for fleet in self._open_fleets():
             pending = [i for i, slot in enumerate(fleet.slots)
                        if slot.state == PENDING]
             if not pending:
@@ -459,9 +456,7 @@ class FleetBroker:
         live = set(self._waiting)
         live.add(worker_id)
         outstanding = held = 0
-        for fleet in self._fleets.values():
-            if fleet.complete:
-                continue
+        for fleet in self._open_fleets():
             for slot in fleet.slots:
                 if slot.state == PENDING:
                     outstanding += 1
@@ -493,7 +488,7 @@ class FleetBroker:
         """Re-queue every lease whose deadline has passed.  Caller
         holds the lock."""
         expired = 0
-        for fleet in self._fleets.values():
+        for fleet in self._open_fleets():
             for slot in fleet.slots:
                 if slot.state == LEASED and now > slot.deadline:
                     slot.state = PENDING
@@ -894,10 +889,16 @@ class FleetBroker:
     def in_flight(self) -> int:
         """Leases currently checked out — what drain waits to hit 0."""
         with self._cond:
-            return sum(1 for f in self._fleets.values()
+            return sum(1 for f in self._open_fleets()
                        for s in f.slots if s.state == LEASED)
 
     # -- introspection ----------------------------------------------------
+
+    def _open_fleets(self) -> Iterator[_Fleet]:  # lint: holds(_cond)
+        """The fleets not yet complete.  A complete fleet holds only
+        DONE slots, so slot scans skip it; the server keeps every fleet
+        it accepted for its whole run."""
+        return (f for f in self._fleets.values() if not f.complete)
 
     def _fleet(self, fleet_id: str) -> _Fleet:  # lint: holds(_cond)
         try:
@@ -935,8 +936,7 @@ class FleetBroker:
 
     def running_count(self) -> int:
         with self._cond:
-            return sum(1 for f in self._fleets.values()
-                       if not f.complete)
+            return sum(1 for _ in self._open_fleets())
 
     def queue_stats(self) -> dict[str, int]:
         """Queue depth for the readiness probe: pending and leased
@@ -944,9 +944,8 @@ class FleetBroker:
         with self._cond:
             pending = leased = 0
             running = 0
-            for fleet in self._fleets.values():
-                if not fleet.complete:
-                    running += 1
+            for fleet in self._open_fleets():
+                running += 1
                 for slot in fleet.slots:
                     if slot.state == PENDING:
                         pending += 1

@@ -123,6 +123,21 @@ def test_cli_spec_that_fails_to_build_is_clean_error(tmp_path, capsys,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["peering", "upgrade"])
+@pytest.mark.parametrize("option", [["--scenario", "skopje"],
+                                    ["--spec", "/nonexistent.json"]],
+                         ids=["scenario", "spec"])
+def test_cli_klagenfurt_only_studies_reject_a_world(capsys, command,
+                                                     option):
+    # These what-ifs name Klagenfurt's nodes and factory flags; another
+    # world must be an error, not silently ignored.
+    assert main([command] + option) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {command} studies Klagenfurt only; "
+                            f"it takes no --scenario or --spec\n")
+
+
 def test_cli_rejects_unknown_command():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from repro import units
-from repro.core import GapAnalysis, InfrastructureEvaluation, KlagenfurtScenario
+from repro.core import GapAnalysis, InfrastructureEvaluation
 from repro.geo.grid import CellId
+from repro.scenarios import build, klagenfurt
 
 
 @pytest.fixture(scope="module")
 def scenario():
-    return KlagenfurtScenario(seed=42)
+    return build(klagenfurt(), seed=42)
 
 
 @pytest.fixture(scope="module")
@@ -210,15 +211,15 @@ def test_figures_render(evaluation):
 
 def test_campaign_is_deterministic():
     """Same seed -> identical dataset."""
-    a = KlagenfurtScenario(seed=7).run_campaign(2.0)
-    b = KlagenfurtScenario(seed=7).run_campaign(2.0)
+    a = build(klagenfurt(), seed=7).run_campaign(2.0)
+    b = build(klagenfurt(), seed=7).run_campaign(2.0)
     assert len(a) == len(b)
     assert np.array_equal(a.rtts, b.rtts)
 
 
 def test_different_seed_changes_samples_not_shape():
-    a = KlagenfurtScenario(seed=7).run_campaign(2.0)
-    b = KlagenfurtScenario(seed=8).run_campaign(2.0)
+    a = build(klagenfurt(), seed=7).run_campaign(2.0)
+    b = build(klagenfurt(), seed=8).run_campaign(2.0)
     assert not np.array_equal(a.rtts[:min(len(a), len(b))],
                               b.rtts[:min(len(a), len(b))])
 

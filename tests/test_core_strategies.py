@@ -10,7 +10,6 @@ from repro.core import (
     FIVE_G_CAPABILITY,
     HypervisorPlacementStudy,
     LocalPeeringExperiment,
-    KlagenfurtScenario,
     QosCacheStudy,
     RequirementsAnalysis,
     SIX_G_CAPABILITY,
@@ -18,6 +17,7 @@ from repro.core import (
     UpfPlacementStudy,
     render_comparison_table,
 )
+from repro.scenarios import build, klagenfurt
 from repro.apps import all_profiles
 from repro.cn import PlacementObjective
 from repro.sim import RngRegistry
@@ -57,7 +57,7 @@ def test_judge_all_validation():
 
 @pytest.fixture
 def fresh_scenario():
-    return KlagenfurtScenario(seed=42)
+    return build(klagenfurt(), seed=42)
 
 
 def test_peering_eliminates_detour(fresh_scenario):

@@ -11,15 +11,17 @@ import numpy as np
 import pytest
 
 from repro import units
-from repro.core import KlagenfurtScenario, LocalPeeringExperiment
+from repro.core import LocalPeeringExperiment
 from repro.geo.grid import CellId
 from repro.net import ASGraph, AutonomousSystem, BGPRouter
 from repro.ran import GNodeB, RadioConfig
+from repro.scenarios import build, klagenfurt
+from repro.scenarios.klagenfurt import AS_EYEBALL, AS_MOBILE
 
 
 @pytest.fixture
 def scenario():
-    return KlagenfurtScenario(seed=42)
+    return build(klagenfurt(), seed=42)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +83,6 @@ def test_depeering_reintroduces_detour(scenario):
     outcome = experiment.run()
     assert outcome.detour_eliminated
     # The eyeball de-peers the mobile operator.
-    from repro.core.scenario import AS_EYEBALL, AS_MOBILE
     scenario.asgraph.remove_peering(AS_MOBILE, AS_EYEBALL)
     scenario.routes.invalidate()
     route = scenario.routes.route("ue-c2", "probe-uni")

@@ -63,8 +63,8 @@ def test_edge_breakout_alone_does_not_fix_the_radio(upgrade_reports):
 
 
 def test_default_scenario_untouched_by_new_parameters():
-    from repro.core import KlagenfurtScenario
-    sc = KlagenfurtScenario(seed=42)
+    from repro.scenarios import build, klagenfurt
+    sc = build(klagenfurt(), seed=42)
     assert sc.campaign_config.default_gateway == "vienna"
     assert sc.radio_config.generation.value == "5g"
 

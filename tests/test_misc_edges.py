@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from repro import units
-from repro.core import (
-    InfrastructureEvaluation,
-    KlagenfurtScenario,
-    render_grid_heatmap,
-)
+from repro.core import render_grid_heatmap
 from repro.geo import GeoPoint, Grid
 from repro.net import LatencyBreakdown
+from repro.scenarios import build, klagenfurt
 from repro.sim import Simulator
 
 
@@ -29,14 +26,6 @@ def test_heatmap_renders_title_and_mask():
     # row labels 1..2 and column labels A..B present
     assert "A" in text.splitlines()[1]
     assert text.splitlines()[2].startswith("  1")
-
-
-def test_evaluation_accepts_prebuilt_scenario():
-    scenario = KlagenfurtScenario(seed=42)
-    result = InfrastructureEvaluation(
-        seed=0, mean_positions_per_cell=2.0).run(scenario)
-    assert result.scenario is scenario
-    assert len(result.dataset) > 0
 
 
 def test_breakdown_add_type_mismatch():
@@ -59,9 +48,9 @@ def test_simulator_timeout_value_roundtrip():
 
 
 def test_scenario_campaign_positions_scale_sample_count():
-    scenario = KlagenfurtScenario(seed=42)
+    scenario = build(klagenfurt(), seed=42)
     small = scenario.run_campaign(2.0)
-    scenario2 = KlagenfurtScenario(seed=42)
+    scenario2 = build(klagenfurt(), seed=42)
     large = scenario2.run_campaign(6.0)
     assert len(large) > 1.5 * len(small)
 

@@ -1,23 +1,15 @@
-"""Equivalence: the spec-built Klagenfurt reproduces the legacy
-``KlagenfurtScenario`` artifacts bit-for-bit at seed 42.
+"""Equivalence: a spec that has been through a full JSON encode/decode
+compiles to the same Klagenfurt world, bit-for-bit at seed 42.
 
-This is the refactor's safety net: Fig. 2/Fig. 3 matrices, the Table I
-hop chain, the Fig. 4 detour length, and the wired baseline must be
-*identical* (not approximately equal) between the compatibility wrapper,
-a directly compiled spec, and a spec that has been through a full JSON
-encode/decode.
+Fig. 2/Fig. 3 matrices, the Table I hop chain, the Fig. 4 detour
+length, and the wired baseline must be *identical* (not approximately
+equal) between a directly compiled spec and its JSON round trip.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import InfrastructureEvaluation, KlagenfurtScenario
 from repro.scenarios import ScenarioSpec, build, klagenfurt
-
-
-@pytest.fixture(scope="module")
-def legacy():
-    return KlagenfurtScenario(seed=42)
 
 
 @pytest.fixture(scope="module")
@@ -30,58 +22,34 @@ def json_compiled():
     return build(ScenarioSpec.from_json(klagenfurt().to_json()), seed=42)
 
 
-def test_wrapper_is_the_compiled_spec(legacy, compiled):
-    assert legacy.spec == compiled.spec
-    assert legacy.seed == compiled.seed
+def test_table1_hop_chain_identical(compiled, json_compiled):
+    assert json_compiled.reference_trace().render_table() \
+        == compiled.reference_trace().render_table()
 
 
-def test_table1_hop_chain_identical(legacy, compiled, json_compiled):
-    reference = legacy.reference_trace().render_table()
-    assert compiled.reference_trace().render_table() == reference
-    assert json_compiled.reference_trace().render_table() == reference
+def test_fig4_detour_identical(compiled, json_compiled):
+    assert json_compiled.detour_route_km() == compiled.detour_route_km()
 
 
-def test_fig4_detour_identical(legacy, compiled, json_compiled):
-    assert compiled.detour_route_km() == legacy.detour_route_km()
-    assert json_compiled.detour_route_km() == legacy.detour_route_km()
+def test_wired_baseline_identical(compiled, json_compiled):
+    assert np.array_equal(json_compiled.wired_baseline(),
+                          compiled.wired_baseline())
 
 
-def test_wired_baseline_identical(legacy, compiled, json_compiled):
-    reference = legacy.wired_baseline()
-    assert np.array_equal(compiled.wired_baseline(), reference)
-    assert np.array_equal(json_compiled.wired_baseline(), reference)
-
-
-def test_fig2_fig3_matrices_identical(legacy, compiled):
-    stats_a = legacy.statistics(legacy.run_campaign(6.0))
-    stats_b = compiled.statistics(compiled.run_campaign(6.0))
+def test_fig2_fig3_matrices_identical(compiled, json_compiled):
+    stats_a = compiled.statistics(compiled.run_campaign(6.0))
+    stats_b = json_compiled.statistics(json_compiled.run_campaign(6.0))
     assert np.array_equal(stats_a.mean_matrix_ms(),
                           stats_b.mean_matrix_ms())
     assert np.array_equal(stats_a.std_matrix_ms(), stats_b.std_matrix_ms())
 
 
-def test_evaluation_by_name_matches_legacy_wrapper():
-    """``--scenario klagenfurt`` and the legacy facade print the same
-    Fig. 2/Fig. 3/Table I artifacts."""
-    by_name = InfrastructureEvaluation(
-        seed=42, mean_positions_per_cell=2.0,
-        scenario="klagenfurt").run()
-    via_wrapper = InfrastructureEvaluation(
-        seed=42, mean_positions_per_cell=2.0).run(
-            KlagenfurtScenario(seed=42))
-    assert by_name.figure2() == via_wrapper.figure2()
-    assert by_name.figure3() == via_wrapper.figure3()
-    assert by_name.table1() == via_wrapper.table1()
-    assert by_name.figure4_km() == via_wrapper.figure4_km()
-    assert by_name.gap.summary() == via_wrapper.gap.summary()
-
-
 def test_edge_breakout_variant_equivalent():
     """The what-if parameters survive the spec round trip too."""
-    wrapper = KlagenfurtScenario(seed=42, edge_breakout=True)
     spec = klagenfurt(edge_breakout=True)
-    direct = build(ScenarioSpec.from_json(spec.to_json()), seed=42)
-    assert wrapper.spec == spec
-    a = wrapper.run_campaign(2.0)
-    b = direct.run_campaign(2.0)
+    direct = build(spec, seed=42)
+    round_tripped = build(ScenarioSpec.from_json(spec.to_json()), seed=42)
+    assert round_tripped.spec == spec
+    a = direct.run_campaign(2.0)
+    b = round_tripped.run_campaign(2.0)
     assert np.array_equal(a.rtts, b.rtts)

@@ -15,14 +15,15 @@ import numpy as np
 import pytest
 
 from repro import units
-from repro.core import GapAnalysis, KlagenfurtScenario
+from repro.core import GapAnalysis
+from repro.scenarios import build, klagenfurt
 
 SEEDS = (7, 99, 2024)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_qualitative_findings_hold(seed):
-    scenario = KlagenfurtScenario(seed=seed)
+    scenario = build(klagenfurt(), seed=seed)
     stats = scenario.statistics(scenario.run_campaign(3.0))
     gap = GapAnalysis().report(stats, scenario.wired_baseline())
 
@@ -41,7 +42,7 @@ def test_qualitative_findings_hold(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_topology_artifacts_are_seed_independent(seed):
-    scenario = KlagenfurtScenario(seed=seed)
+    scenario = build(klagenfurt(), seed=seed)
     trace = scenario.reference_trace()
     assert trace.hop_count == 10
     assert scenario.detour_route_km() == pytest.approx(2544.0, rel=0.02)
@@ -49,6 +50,6 @@ def test_topology_artifacts_are_seed_independent(seed):
 
 
 def test_masked_cells_identical_across_seeds():
-    masks = [tuple(c.label for c in KlagenfurtScenario(seed=s).masked_cells)
+    masks = [tuple(c.label for c in build(klagenfurt(), seed=s).masked_cells)
              for s in SEEDS]
     assert len(set(masks)) == 1

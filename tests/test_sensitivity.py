@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import KnobResult, SensitivityAnalysis
+from repro.scenarios import build_key, klagenfurt
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,60 @@ def test_downscaling_reduces_mean(analysis, baseline):
 def test_unknown_knob_rejected(analysis):
     with pytest.raises(KeyError):
         analysis.run_knob("flux_capacitor", 1.1)
+    with pytest.raises(KeyError, match="flux_capacitor"):
+        analysis.spec_for("flux_capacitor", 1.1)
+
+
+def _leaves(value, prefix=""):
+    """Dotted path -> scalar for every leaf of a ``to_dict`` payload."""
+    if not isinstance(value, (dict, list)):
+        return {prefix: value}
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    out = {}
+    for key, item in items:
+        out.update(_leaves(item, f"{prefix}.{key}".lstrip(".")))
+    return out
+
+
+_CAMPAIGN = klagenfurt().campaign
+_VIENNA = [g.name for g in _CAMPAIGN.gateways].index("vienna")
+INTENDED_PATHS = {
+    "buffer_service": {"radio.buffer_service_s"},
+    "cgnat_load": {f"campaign.gateways.{_VIENNA}.load"},
+    "cell_load": {"campaign.extra_load_range.0",
+                  "campaign.extra_load_range.1"}
+    | {f"campaign.extra_load_anchors.{i}.1"
+       for i in range(len(_CAMPAIGN.extra_load_anchors))},
+    "peer_load": {f"campaign.peers.{i}.air_load"
+                  for i in range(len(_CAMPAIGN.peers))},
+    "handover_interruption": {"campaign.handover_interruption_s"},
+}
+
+
+@pytest.mark.parametrize("knob", SensitivityAnalysis.KNOBS)
+def test_knob_spec_changes_only_its_fields(analysis, knob):
+    base = _leaves(klagenfurt().to_dict())
+    variant = _leaves(analysis.spec_for(knob, 1.2).to_dict())
+    assert variant.keys() == base.keys()
+    changed = {path for path in base if variant[path] != base[path]}
+    assert changed == INTENDED_PATHS[knob]
+
+
+@pytest.mark.parametrize("knob", SensitivityAnalysis.KNOBS)
+def test_knob_build_key(analysis, knob):
+    """Peer load and the interruption are sampling-layer what-ifs and
+    share the baseline's compiled build; the other knobs rebuild."""
+    base = build_key(klagenfurt(), 42, 2.0)
+    key = build_key(analysis.spec_for(knob, 1.2), 42, 2.0)
+    if knob in ("peer_load", "handover_interruption"):
+        assert key == base
+    else:
+        assert key != base
+
+
+def test_unit_scale_is_the_baseline_spec(analysis):
+    for knob in SensitivityAnalysis.KNOBS:
+        assert analysis.spec_for(knob, 1.0) == klagenfurt()
 
 
 def test_elasticity_requires_perturbation(baseline):
