@@ -5,7 +5,7 @@ The paper's future work: "expand the geographical scope of the
 evaluation to include diverse regions".  This example used to hand-wire
 ~100 lines of grid, population, radio, AS-graph, and campaign objects;
 the ``repro.scenarios`` spec API reduces it to *data*: take the
-registered Skopje-like spec, apply overrides, and compile — the
+registered Skopje-like spec, apply overrides, and evaluate it — the
 Klagenfurt scenario is an *instance*, not a hard-coded special case.
 
 The second city differs deliberately: a smaller 5x5 grid, a single
@@ -16,37 +16,31 @@ and its campaign still exhibits the paper's qualitative structure
 Run:  python examples/second_city.py
 """
 
-from dataclasses import replace
-
 from repro import units
-from repro.core import GapAnalysis, render_grid_heatmap
-from repro.probes import CellStatistics
-from repro.scenarios import build, skopje
+from repro.core import InfrastructureEvaluation, render_grid_heatmap
+from repro.scenarios import skopje
 
 
-def build_city(seed: int = 7):
+def evaluate_city(seed: int = 7):
     # Spec-level what-if: densify the urban core and quieten the
-    # congestion field — overrides are plain dataclass edits, no
-    # object wiring.
-    spec = skopje()
-    spec = spec.override(
-        population=replace(spec.population, core_density=6000.0),
-        campaign=replace(spec.campaign, extra_load_range=(0.02, 0.14)),
-    )
-    return build(spec, seed=seed)
+    # congestion field — overrides are dotted-path data, no object
+    # wiring.
+    spec = skopje().with_overrides({
+        "population.core_density": 6000.0,
+        "campaign.extra_load_range": (0.02, 0.14),
+    })
+    return InfrastructureEvaluation(seed, 6.0, scenario=spec).run()
 
 
 def main() -> None:
-    city = build_city()
-    dataset = city.run_campaign(6.0)
-    stats = CellStatistics(city.grid, dataset)
-    wired = city.wired_baseline(count=30)
-    gap = GapAnalysis().report(stats, wired)
+    result = evaluate_city()
+    stats = result.statistics
+    gap = result.gap
 
-    print(render_grid_heatmap(city.grid, stats.mean_matrix_ms(),
+    print(render_grid_heatmap(result.scenario.grid, stats.mean_matrix_ms(),
                               title="Skopje-like city: mean RTL"))
     print()
-    print(f"samples: {len(dataset)}, measured cells: "
+    print(f"samples: {len(result.dataset)}, measured cells: "
           f"{len(stats.measured_cells())}")
     print(f"mobile mean: {units.to_ms(gap.mobile_mean_s):.1f} ms — "
           f"the 20 ms budget is exceeded by "

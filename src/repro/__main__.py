@@ -93,17 +93,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if scenario is None:
         return 2
     try:
-        # A spec that loads can still fail to build: a cell assigned to
-        # an unknown gateway, or a target no route reaches.
+        # A spec that loads can still fail to build: an unknown gateway,
+        # an unreachable target, a detour loop end off the trace.
         result = InfrastructureEvaluation(seed=args.seed,
                                           scenario=scenario).run()
+        detour_km = result.figure4_km()
     except (LookupError, ValueError) as exc:
         _print_error(exc)
         return 2
     print(result.figure2(), end="\n\n")
     print(result.figure3(), end="\n\n")
     print(result.table1(), end="\n\n")
-    print(f"Fig. 4 detour: {result.figure4_km():.0f} km\n")
+    print(f"Fig. 4 detour: {detour_km:.0f} km\n")
     print(result.gap.summary())
     return 0
 

@@ -4,9 +4,9 @@
 figure bench) goes through: build the scenario, run the drive test,
 aggregate per cell, compute the gap report, and render the figures.
 Any world works — pass a registered scenario name (``"klagenfurt"``,
-``"skopje"``, ...) or a :class:`~repro.scenarios.spec.ScenarioSpec`;
-what-if studies evaluate a spec variant
-(:meth:`~repro.scenarios.spec.ScenarioSpec.with_overrides`) here.
+``"skopje"``, ...) or a :class:`~repro.scenarios.spec.ScenarioSpec`,
+such as a :meth:`~repro.scenarios.spec.ScenarioSpec.with_overrides`
+what-if variant.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ The paper's conclusion names four directions; each gets an executable
 study here:
 
 * :class:`SixGUpgradeStudy` — "expand ... and validate the proposed
-  recommendations": the full drive-test campaign re-run over upgrade
-  arms (5G baseline, 5G + edge breakout, 6G, 6G + edge breakout).
+  recommendations": the full drive-test campaign over upgrade arms
+  (5G baseline, 5G + edge breakout, 6G, 6G + edge breakout), as one
+  run list through the fleet's batch executor.
 * :class:`FederatedEdgeStudy` — "federated learning at the edge": FL
   round times under 5G-cloud / 5G-edge / 6G-edge deployments.
 * :class:`PredictiveSlicingStudy` — "intelligent network slicing":
@@ -25,10 +26,10 @@ import numpy as np
 
 from .. import units
 from ..apps.federated import FederatedConfig, FederatedRoundModel
+from ..fleet.sweep import RunSpec
 from ..ran.spectrum import RadioConfig
 from ..scenarios.klagenfurt import klagenfurt
 from ..scenarios.spec import ScenarioSpec
-from .evaluation import InfrastructureEvaluation
 from .gap import GapReport
 
 __all__ = ["UpgradeArm", "SixGUpgradeStudy", "FederatedEdgeStudy",
@@ -49,7 +50,7 @@ class UpgradeArm:
 
 
 class SixGUpgradeStudy:
-    """Re-runs the whole Section IV campaign over upgrade arms."""
+    """The whole Section IV campaign under each upgrade arm."""
 
     ARMS: tuple[UpgradeArm, ...] = (
         UpgradeArm("5G (measured)", False, False),
@@ -69,15 +70,20 @@ class SixGUpgradeStudy:
             radio_config=RadioConfig.nr_6g() if arm.sixg else None,
             edge_breakout=arm.edge_breakout)
 
-    def run_arm(self, arm: UpgradeArm) -> GapReport:
-        """One campaign under one deployment arm."""
-        return InfrastructureEvaluation(
-            self.seed, self.mean_positions_per_cell,
-            scenario=self.arm_spec(arm)).run().gap
+    def plan(self) -> list[RunSpec]:
+        """One run per arm, in :attr:`ARMS` order."""
+        return [RunSpec(f"arm{index}", self.arm_spec(arm), self.seed,
+                        self.mean_positions_per_cell, (("arm", arm.name),))
+                for index, arm in enumerate(self.ARMS)]
 
     def run(self) -> dict[str, GapReport]:
         """All arms; key = arm name."""
-        return {arm.name: self.run_arm(arm) for arm in self.ARMS}
+        from ..fleet.executors import BatchExecutor  # it imports core
+
+        with BatchExecutor() as executor:
+            outcomes = list(executor.map(self.plan()))
+        return {arm.name: outcome.record.summary.gap
+                for arm, outcome in zip(self.ARMS, outcomes)}
 
     @staticmethod
     def meets_requirement(report: GapReport,
@@ -94,9 +100,10 @@ class FederatedEdgeStudy:
     """FL round times across network deployments.
 
     Deployments differ in access RTT, aggregator distance and cell
-    capacity; magnitudes come from the same models as the rest of the
-    reproduction (5G mean access RTT from the campaign, 6G from the
-    radio model, cloud RTT from the UPF placement study's distances).
+    capacity.  The 5G access RTT is a fixed ~35 ms application-layer
+    figure (the one ``bench_phy_distribution.py`` cites), not a campaign
+    output; 6G comes from the radio model, cloud RTT from the UPF
+    placement study's distances.
     """
 
     def __init__(self, config: Optional[FederatedConfig] = None):
@@ -106,8 +113,8 @@ class FederatedEdgeStudy:
         """The three FL network deployments (see class docstring)."""
         cfg = self.config
         return {
-            # Measured 5G with cloud aggregation: drive-test access RTT,
-            # Frankfurt-distance aggregator.
+            # 5G with cloud aggregation: the fixed ~35 ms application-
+            # layer access RTT, Frankfurt-distance aggregator.
             "5G + cloud aggregation": FederatedRoundModel(
                 cfg,
                 cell_uplink_bps=units.mbps(100.0),

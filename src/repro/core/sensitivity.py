@@ -7,18 +7,21 @@ exceedance by 200 points, the reproduction is a curve fit; if the
 response is proportionate and monotone, the mechanisms carry the
 result.
 
-:class:`SensitivityAnalysis` perturbs one knob at a time, re-runs the
-campaign, and reports elasticities of the headline metrics
-(mean RTL, mobile/wired factor, max-cell mean).
+:class:`SensitivityAnalysis` perturbs one knob at a time and reports
+elasticities of the headline metrics (mean RTL, mobile/wired factor,
+max-cell mean).  Each question is one run list that the fleet's batch
+executor evaluates in one pass, so knobs that keep the baseline's
+build replay its compiled world and draw tapes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
+from ..fleet.sweep import RunSpec
 from ..scenarios.klagenfurt import klagenfurt
 from ..scenarios.spec import ScenarioSpec
-from .evaluation import InfrastructureEvaluation
 
 __all__ = ["KnobResult", "SensitivityAnalysis"]
 
@@ -47,13 +50,14 @@ class SensitivityAnalysis:
     """One-at-a-time perturbation of the calibrated knobs.
 
     Each perturbation is a spec variant of :func:`klagenfurt`
-    (:meth:`spec_for`), evaluated by the same
-    :class:`~repro.core.evaluation.InfrastructureEvaluation` pipeline as
-    every other run.
+    (:meth:`spec_for`); :meth:`evaluate` runs a list of cases as one
+    run list (:meth:`plan`) through the fleet's batch executor.
     """
 
     KNOBS = ("buffer_service", "cgnat_load", "cell_load", "peer_load",
              "handover_interruption")
+    #: the case whose spec is the unperturbed :func:`klagenfurt`
+    BASELINE = ("cell_load", 1.0)
 
     def __init__(self, seed: int = 42,
                  mean_positions_per_cell: float = 3.0):
@@ -95,32 +99,45 @@ class SensitivityAnalysis:
 
     # -- runs -----------------------------------------------------------------
 
+    def plan(self, cases: Sequence[tuple[str, float]]) -> list[RunSpec]:
+        """One run per ``(knob, scale)`` case; ids carry the position,
+        so they stay unique even if a case repeats."""
+        return [RunSpec(f"c{index:02d}-{knob}-x{scale:g}",
+                        self.spec_for(knob, scale), self.seed,
+                        self.positions, (("knob", knob), ("scale", scale)))
+                for index, (knob, scale) in enumerate(cases)]
+
+    def evaluate(self, cases: Sequence[tuple[str, float]]
+                 ) -> list[KnobResult]:
+        """The headline metrics of every case, in order."""
+        from ..fleet.executors import BatchExecutor  # it imports core
+
+        with BatchExecutor() as executor:
+            gaps = [outcome.record.summary.gap
+                    for outcome in executor.map(self.plan(cases))]
+        return [KnobResult(knob, scale, gap.mobile_mean_s,
+                           gap.mobile_wired_factor, gap.max_cell_mean_s)
+                for (knob, scale), gap in zip(cases, gaps)]
+
     def run_knob(self, knob: str, scale: float) -> KnobResult:
-        """Re-run the campaign with one knob scaled by ``scale``."""
-        gap = InfrastructureEvaluation(
-            self.seed, self.positions,
-            scenario=self.spec_for(knob, scale)).run().gap
-        return KnobResult(
-            knob=knob, scale=scale,
-            mobile_mean_s=gap.mobile_mean_s,
-            mobile_wired_factor=gap.mobile_wired_factor,
-            max_cell_mean_s=gap.max_cell_mean_s,
-        )
+        """The campaign with one knob scaled by ``scale``."""
+        return self.evaluate([(knob, scale)])[0]
 
     def baseline(self) -> KnobResult:
         """The unperturbed campaign's headline metrics."""
-        return self.run_knob("cell_load", 1.0)
+        return self.run_knob(*self.BASELINE)
 
     def sweep(self, scales: tuple[float, ...] = (0.8, 1.2)
               ) -> dict[str, list[KnobResult]]:
         """All knobs at every scale; key = knob name."""
-        return {knob: [self.run_knob(knob, s) for s in scales]
-                for knob in self.KNOBS}
+        results = self.evaluate([(knob, scale) for scale in scales
+                                 for knob in self.KNOBS])
+        return {knob: results[index::len(self.KNOBS)]
+                for index, knob in enumerate(self.KNOBS)}
 
     def elasticities(self, scale: float = 1.2) -> dict[str, float]:
         """One-sided elasticity of the mean RTL per knob."""
-        base = self.baseline()
-        out = {}
-        for knob in self.KNOBS:
-            out[knob] = self.run_knob(knob, scale).elasticity(base)
-        return out
+        base, *results = self.evaluate(
+            [self.BASELINE] + [(knob, scale) for knob in self.KNOBS])
+        return {result.knob: result.elasticity(base)
+                for result in results}

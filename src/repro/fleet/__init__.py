@@ -77,11 +77,11 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                  "compare_record_sets", "parse_fail_on"),
     ".executors": ("BACKENDS", "BatchExecutor", "Executor",
                    "RemoteExecutor", "RunOutcome", "SerialExecutor",
-                   "make_executor"),
+                   "make_executor", "run_one"),
     ".gc": ("CacheUsage", "GcReport", "TierUsage", "cache_usage", "run_gc"),
     ".progress": ("ProgressEvent", "print_progress"),
     ".report": ("comparison_summary", "fleet_summary", "write_csv"),
-    ".runner": ("resume_sweep", "run_one", "run_sweep"),
+    ".runner": ("resume_sweep", "run_sweep"),
     ".store": ("FleetResult", "FleetStore", "SCHEMA_VERSION"),
     ".sweep": ("RunRecord", "RunSpec", "SweepAxis", "SweepSpec",
                "record_matches_spec"),

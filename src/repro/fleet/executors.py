@@ -306,11 +306,12 @@ class BatchExecutor:
                                           payload["outcomes"]):
                     pending[index] = _outcome(outcome)
 
+        dispatched = set(futures)
         for key in order:
-            future = futures.get(key)
-            if future is not None:
-                if not future.cancel():
-                    continue  # a pool process has started this group
+            if key in dispatched:
+                future = futures.get(key)
+                if future is None or not future.cancel():
+                    continue  # a pool process has run or started it
                 del futures[key]
             group = [runs[index] for index in members[key]]
             for index, outcome in zip(members[key], _evaluate_group(

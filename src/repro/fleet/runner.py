@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .cache import CachingExecutor, ResultCache
 from .compiled import COMPILED_DIR, CompiledScenarioCache
@@ -30,12 +30,11 @@ from .executors import (
     Executor,
     RunOutcome,
     make_executor,
-    run_one,
 )
 from .store import FleetResult, FleetStore
-from .sweep import RunRecord, SweepSpec, record_matches_spec
+from .sweep import RunRecord, RunSpec, SweepSpec
 
-__all__ = ["ProgressFn", "resume_sweep", "run_one", "run_sweep"]
+__all__ = ["ProgressFn", "resume_sweep", "run_sweep"]
 
 #: Progress callback: ``(finished_count, total, record)``.
 ProgressFn = Callable[[int, int, RunRecord], None]
@@ -106,6 +105,54 @@ def _stats_delta(before: dict[str, int],
             for key in sorted(after)}
 
 
+def _execute(sweep: SweepSpec, runs: Sequence[RunSpec],
+             store: Optional[FleetStore], *, jobs: int,
+             executor: ExecutorLike, cache: CacheLike,
+             progress: Optional[ProgressFn],
+             reused: Mapping[str, RunOutcome],
+             begin: bool) -> FleetResult:
+    """The loop behind :func:`run_sweep` and :func:`resume_sweep`:
+    execute the runs not in ``reused``, stream their records into
+    ``store`` (skeleton manifest first when ``begin``) and ``progress``,
+    and merge them with ``reused`` in expansion order."""
+    missing = [run for run in runs if run.run_id not in reused]
+    resolved, owned = _resolve_executor(executor, jobs, cache)
+    jobs = getattr(resolved, "jobs", jobs)
+    stats_before = _stats_snapshot(resolved)
+    if store is not None and begin:
+        store.begin(sweep, jobs=jobs, backend=resolved.name)
+
+    fresh: dict[str, RunOutcome] = {}
+    started = time.perf_counter()
+    try:
+        for index, outcome in enumerate(resolved.map(missing)):
+            fresh[missing[index].run_id] = outcome
+            if store is not None:
+                store.write_record(outcome.record)
+            if progress is not None:
+                progress(len(fresh), len(missing), outcome.record)
+    finally:
+        if owned:
+            # Don't let queued runs burn CPU after a failure surfaces.
+            resolved.close(cancel=True)
+    wall_s = time.perf_counter() - started
+
+    outcomes = [fresh.get(run.run_id) or reused[run.run_id]
+                for run in runs]
+    result = FleetResult(sweep=sweep,
+                         records=tuple(o.record for o in outcomes),
+                         run_wall_s=tuple(o.wall_s for o in outcomes),
+                         wall_s=wall_s, jobs=jobs, backend=resolved.name,
+                         cached=tuple(o.cached for o in outcomes),
+                         exec_stats=_stats_delta(stats_before,
+                                                 _stats_snapshot(resolved)))
+    if store is not None:
+        # Records were streamed in via write_record (or never left
+        # disk), so only the manifest + CSV need writing.
+        store.save(result, rewrite_records=False)
+    return result
+
+
 def run_sweep(sweep: SweepSpec, *, jobs: int = 1,
               executor: ExecutorLike = None,
               cache: CacheLike = None,
@@ -122,45 +169,10 @@ def run_sweep(sweep: SweepSpec, *, jobs: int = 1,
     :class:`CachingExecutor` so already-computed runs return without
     recompute.  Results come back in expansion order either way.
     """
-    runs = sweep.expand()
-    total = len(runs)
-    resolved, owned = _resolve_executor(executor, jobs, cache)
-    stats_before = _stats_snapshot(resolved)
-    store = FleetStore(out) if out else None
-    if store is not None:
-        store.begin(sweep, jobs=getattr(resolved, "jobs", jobs),
-                    backend=resolved.name)
-
-    records: list[RunRecord] = []
-    run_wall_s: list[float] = []
-    cached: list[bool] = []
-    started = time.perf_counter()
-    try:
-        for outcome in resolved.map(runs):
-            records.append(outcome.record)
-            run_wall_s.append(outcome.wall_s)
-            cached.append(outcome.cached)
-            if store is not None:
-                store.write_record(outcome.record)
-            if progress is not None:
-                progress(len(records), total, outcome.record)
-    finally:
-        if owned:
-            # Don't let queued runs burn CPU after a failure surfaces.
-            resolved.close(cancel=True)
-    wall_s = time.perf_counter() - started
-
-    result = FleetResult(sweep=sweep, records=tuple(records),
-                         run_wall_s=tuple(run_wall_s),
-                         wall_s=wall_s,
-                         jobs=getattr(resolved, "jobs", jobs),
-                         backend=resolved.name,
-                         cached=tuple(cached),
-                         exec_stats=_stats_delta(stats_before,
-                                                 _stats_snapshot(resolved)))
-    if store is not None:
-        store.save(result, rewrite_records=False)
-    return result
+    return _execute(sweep, sweep.expand(),
+                    FleetStore(out) if out else None, jobs=jobs,
+                    executor=executor, cache=cache, progress=progress,
+                    reused={}, begin=True)
 
 
 def resume_sweep(directory: Union[str, Path], *, jobs: int = 1,
@@ -172,8 +184,9 @@ def resume_sweep(directory: Union[str, Path], *, jobs: int = 1,
     Re-expands the manifest's sweep, keeps every on-disk record whose
     content identity verifies against its expanded run (flagged
     ``cached`` in the result, wall time carried over from the prior
-    manifest where known), executes the rest, and rewrites the
-    directory as a finished fleet.  A record whose ``spec_key`` (or
+    manifest where known), executes the store's
+    :meth:`~repro.fleet.store.FleetStore.missing_runs`, and rewrites
+    the directory as a finished fleet.  A record whose ``spec_key`` (or
     legacy metadata, for digest-less v2 records) disagrees with the
     manifest's current spec — say, an axis value edited since the
     original sweep — is stale and recomputed, never silently reused.
@@ -184,56 +197,13 @@ def resume_sweep(directory: Union[str, Path], *, jobs: int = 1,
     manifest = store.read_manifest()
     sweep = SweepSpec.from_dict(manifest["sweep"])
     runs = sweep.expand()
-    existing = store.existing_records()
+    missing = {run.run_id for run in store.missing_runs()}
     prior_wall = {entry["run_id"]: entry.get("wall_s", 0.0)
                   for entry in manifest.get("runs", [])}
-    reusable: dict[str, RunRecord] = {}
-    missing = []
-    for run in runs:
-        record = existing.get(run.run_id)
-        if record is not None and record_matches_spec(record, run):
-            reusable[run.run_id] = record
-        else:
-            missing.append(run)
-
-    resolved, owned = _resolve_executor(executor, jobs, cache)
-    stats_before = _stats_snapshot(resolved)
-    fresh: dict[str, RunOutcome] = {}
-    started = time.perf_counter()
-    try:
-        for outcome in resolved.map(missing):
-            fresh[outcome.record.run_id] = outcome
-            store.write_record(outcome.record)
-            if progress is not None:
-                progress(len(fresh), len(missing), outcome.record)
-    finally:
-        if owned:
-            resolved.close(cancel=True)
-    wall_s = time.perf_counter() - started
-
-    records: list[RunRecord] = []
-    run_wall_s: list[float] = []
-    cached: list[bool] = []
-    for run in runs:
-        if run.run_id in fresh:
-            outcome = fresh[run.run_id]
-            records.append(outcome.record)
-            run_wall_s.append(outcome.wall_s)
-            cached.append(outcome.cached)
-        else:
-            records.append(reusable[run.run_id])
-            run_wall_s.append(prior_wall.get(run.run_id, 0.0))
-            cached.append(True)
-
-    result = FleetResult(sweep=sweep, records=tuple(records),
-                         run_wall_s=tuple(run_wall_s),
-                         wall_s=wall_s,
-                         jobs=getattr(resolved, "jobs", jobs),
-                         backend=resolved.name,
-                         cached=tuple(cached),
-                         exec_stats=_stats_delta(stats_before,
-                                                 _stats_snapshot(resolved)))
-    # Fresh records were streamed in via write_record and the reused
-    # ones never left disk, so only the manifest + CSV need writing.
-    store.save(result, rewrite_records=False)
-    return result
+    reused = {run.run_id: RunOutcome(
+                  record=store.read_record(run.run_id),
+                  wall_s=prior_wall.get(run.run_id, 0.0), cached=True)
+              for run in runs if run.run_id not in missing}
+    return _execute(sweep, runs, store, jobs=jobs, executor=executor,
+                    cache=cache, progress=progress, reused=reused,
+                    begin=False)

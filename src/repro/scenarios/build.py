@@ -296,10 +296,13 @@ class BuiltScenario:
         hops = [self.topology.node(h.node_name) for h in trace.hops]
         locations = [self.topology.node(self.spec.reference_src).location]
         locations += [h.location for h in hops]
-        if self.spec.detour_loop_end:
-            end_index = next(i for i, h in enumerate(hops)
-                             if h.name == self.spec.detour_loop_end)
-            locations = locations[: end_index + 2]
+        end = self.spec.detour_loop_end
+        if end:
+            names = [h.name for h in hops]
+            if end not in names:
+                raise ValueError(f"detour loop end {end!r} is not a hop "
+                                 f"of the reference trace")
+            locations = locations[: names.index(end) + 2]
         return units.to_km(path_length(locations)
                            * self.spec.detour_circuity)
 

@@ -120,6 +120,8 @@ def klagenfurt(*, radio_config: Optional[RadioConfig] = None,
     edge_breakout:
         Terminate the user plane at a Klagenfurt edge gateway instead
         of the Vienna CGNAT (the Sec. V-B remedy, applied campaign-wide).
+        Its reference trace never reaches the Vienna exchange, so the
+        Fig.-4 detour then spans the whole trace.
     """
     grid_spec = _grid_spec()
     grid: Grid = grid_spec.build()
@@ -384,6 +386,6 @@ def klagenfurt(*, radio_config: Optional[RadioConfig] = None,
         reference_dst="probe-uni",
         wired_src="uni-wired",
         wired_dst="cloud-vie",
-        detour_loop_end="ix-vie",
+        detour_loop_end="" if edge_breakout else "ix-vie",
         detour_circuity=1.05,
     )

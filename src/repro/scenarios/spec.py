@@ -655,10 +655,6 @@ class ScenarioSpec:
     def from_json(cls, text: str) -> "ScenarioSpec":
         return cls.from_dict(json.loads(text))
 
-    def override(self, **changes: Any) -> "ScenarioSpec":
-        """A copy with top-level fields replaced (spec-level what-ifs)."""
-        return replace(self, **changes)
-
     def with_overrides(self, overrides: Mapping[str, Any]
                        ) -> "ScenarioSpec":
         """A copy with dotted-path patches applied through the layers.

@@ -123,6 +123,30 @@ def test_cli_spec_that_fails_to_build_is_clean_error(tmp_path, capsys,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_cli_evaluate_edge_breakout_spec(tmp_path, capsys):
+    from repro.scenarios import klagenfurt
+
+    path = tmp_path / "edge.json"
+    path.write_text(klagenfurt(edge_breakout=True).to_json())
+    assert main(["evaluate", "--spec", str(path)]) == 0
+    assert "Fig. 4 detour: 501 km" in capsys.readouterr().out
+
+
+def test_cli_detour_loop_end_off_the_trace_is_clean_error(tmp_path,
+                                                          capsys):
+    from repro.scenarios import klagenfurt
+
+    spec = json.loads(klagenfurt().to_json())
+    spec["detour_loop_end"] = "gw-kla"
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(spec))
+    assert main(["evaluate", "--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: detour loop end 'gw-kla' is not a "
+                            "hop of the reference trace\n")
+
+
 @pytest.mark.parametrize("command", ["peering", "upgrade"])
 @pytest.mark.parametrize("option", [["--scenario", "skopje"],
                                     ["--spec", "/nonexistent.json"]],

@@ -6,6 +6,8 @@ at the default seed, with tolerances documented against the paper's
 published values.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,21 @@ def test_table1_private_first_hop(scenario):
 def test_fig4_detour_is_2544_km(scenario):
     """Paper: 'This route covers a total distance of 2544 km.'"""
     assert scenario.detour_route_km() == pytest.approx(2544.0, rel=0.02)
+
+
+def test_fig4_edge_breakout_detour_spans_the_whole_trace():
+    """The breakout trace never reaches the Vienna exchange, so its
+    loop is the whole (local) trace, far shorter than the detour."""
+    spec = klagenfurt(edge_breakout=True)
+    assert spec.detour_loop_end == ""
+    detour = build(spec, seed=42).detour_route_km()
+    assert detour == pytest.approx(501.0, abs=0.1)
+
+
+def test_fig4_loop_end_off_the_trace_is_a_value_error():
+    spec = dataclasses.replace(klagenfurt(), detour_loop_end="gw-kla")
+    with pytest.raises(ValueError, match="'gw-kla'"):
+        build(spec, seed=42).detour_route_km()
 
 
 def test_fig4_route_leaves_the_country(scenario):

@@ -171,16 +171,16 @@ def test_pack_unpack_round_trips_every_override_class(base):
     # layer or pair goes whole — and at the top level, only a base of
     # its own can carry it.
     sites = spec.radio.sites
-    variants.append(spec.override(radio=replace(
+    variants.append(replace(spec, radio=replace(
         spec.radio, sites=(replace(sites[0], load=0),) + sites[1:])))
     whole = ["radio.sites.0"]
     anchors = spec.campaign.extra_load_anchors
     if anchors:
-        variants.append(spec.override(campaign=replace(
+        variants.append(replace(spec, campaign=replace(
             spec.campaign,
             extra_load_anchors=((anchors[0][0], 0),) + anchors[1:])))
         whole.append("campaign.extra_load_anchors.0")
-    variants.append(spec.override(detour_circuity=2))
+    variants.append(replace(spec, detour_circuity=2))
     runs = [RunSpec(run_id=f"r{index}", scenario=variant, seed=42,
                     density=2.0, variant=(("case", index),))
             for index, variant in enumerate(variants)]

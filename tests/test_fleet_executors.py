@@ -3,6 +3,7 @@ three shipped backends, map semantics, build-key-group dispatch over a
 process pool, and ownership rules."""
 
 import multiprocessing
+from concurrent.futures import Future
 
 import pytest
 
@@ -122,6 +123,34 @@ def test_all_backends_produce_bit_identical_records():
         batch = run_sweep(sweep, executor="batch", jobs=jobs)
         assert batch.backend == "batch" and batch.jobs == jobs
         assert records(batch) == records(serial)
+
+
+class InlinePool:
+    """A pool whose every task has finished by the time ``submit``
+    returns, so no task can be cancelled any more."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+def test_a_group_the_pool_finished_is_not_rerun_locally():
+    # Two build keys of one run each: the pool's group is collected
+    # right after this process's first run, and must not be evaluated
+    # again when the walk over the groups reaches it.
+    runs = small_sweep(seeds=(42, 43), axes=()).expand()
+    with BatchExecutor(jobs=2) as executor:
+        executor._pool = InlinePool()
+        outcomes = list(executor.map(runs))
+        assert (executor.compiled.stats.builds,
+                executor.compiled.stats.hits) == (2, 0)
+    with SerialExecutor() as serial:
+        assert [o.record.to_json() for o in outcomes] == \
+            [o.record.to_json() for o in serial.map(runs)]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -10,12 +10,15 @@ from repro.core import (
     PredictiveSlicingStudy,
     SixGUpgradeStudy,
 )
+from repro.fleet import BatchExecutor, SerialExecutor
 from repro.ran import (
     DIURNAL_URBAN_PROFILE,
     EnergyModel,
     RadioConfig,
     SitePowerModel,
 )
+from repro.scenarios import build_count
+from test_sensitivity import captured_plans, record_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +63,19 @@ def test_edge_breakout_alone_does_not_fix_the_radio(upgrade_reports):
     plus loaded-cell buffering still dominates the budget."""
     report = upgrade_reports["5G + edge breakout"]
     assert report.mobile_mean_s > units.ms(20.0)
+
+
+def test_upgrade_arms_are_one_batch_matching_the_serial_oracle():
+    study = SixGUpgradeStudy(seed=42, mean_positions_per_cell=2.0)
+    before = build_count()
+    plan, = captured_plans(study.run)
+    assert build_count() - before == 4
+    assert [run.scenario for run in plan] == \
+        [study.arm_spec(arm) for arm in study.ARMS]
+    assert [dict(run.variant)["arm"] for run in plan] == \
+        [arm.name for arm in study.ARMS]
+    assert record_bytes(BatchExecutor(), plan) == \
+        record_bytes(SerialExecutor(), plan)
 
 
 def test_default_scenario_untouched_by_new_parameters():

@@ -13,9 +13,12 @@ alter simulation results, and say so loudly in the changelog.
 """
 
 import hashlib
+import json
+from dataclasses import asdict
 
 import pytest
 
+from repro.core import SensitivityAnalysis, SixGUpgradeStudy
 from repro.core.evaluation import InfrastructureEvaluation
 
 GOLDEN_SHA256 = {
@@ -43,3 +46,40 @@ def test_golden_digest_is_run_to_run_stable():
     a = InfrastructureEvaluation(seed=42).run().summary().canonical_json()
     b = InfrastructureEvaluation(seed=42).run().summary().canonical_json()
     assert a == b
+
+
+#: SHA-256 of the what-if studies' results at density 2: the baseline
+#: plus every knob at 0.8 and 1.2, and the four upgrade arms' gap
+#: reports.  Recorded from the from-scratch per-run evaluation the
+#: studies used before they ran as run lists.
+GOLDEN_STUDY_SHA256 = {
+    ("sensitivity", 42):
+        "f856d3ef73bca056297f0020b7798c60c640689b9bb370ead52da3b6051cb2ed",
+    ("sensitivity", 7):
+        "e22c65f9c8551ddc0bde5040ae06ece81ac7ed6dc37bb2af478d02944c9131a2",
+    ("upgrade", 42):
+        "9b5682b2cca8f89d519fbe18d0ee74f46c4403e3107fac1d7230b33473e4e504",
+    ("upgrade", 7):
+        "6b6ecbcfd31b1afdd1a0e4e9e21aee3c529e5c048666c9eaf98ed1b0ff68653e",
+}
+
+
+def _study_payload(study, seed):
+    if study == "sensitivity":
+        analysis = SensitivityAnalysis(seed=seed, mean_positions_per_cell=2.0)
+        return {"baseline": asdict(analysis.baseline()),
+                "sweep": {knob: [asdict(result) for result in results]
+                          for knob, results in
+                          analysis.sweep((0.8, 1.2)).items()}}
+    reports = SixGUpgradeStudy(seed=seed, mean_positions_per_cell=2.0).run()
+    return {name: asdict(report) for name, report in reports.items()}
+
+
+@pytest.mark.parametrize("study, seed", sorted(GOLDEN_STUDY_SHA256))
+def test_golden_study_digest(study, seed):
+    text = json.dumps(_study_payload(study, seed), sort_keys=True,
+                      separators=(",", ":"))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_STUDY_SHA256[study, seed], (
+        f"{study} @ seed {seed} produced digest {digest}; see this "
+        "module's docstring before touching the constant.")

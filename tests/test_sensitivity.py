@@ -1,9 +1,33 @@
 """Tests for the calibration sensitivity analysis."""
 
+from unittest import mock
+
 import pytest
 
 from repro.core import KnobResult, SensitivityAnalysis
-from repro.scenarios import build_key, klagenfurt
+from repro.fleet import BatchExecutor, SerialExecutor
+from repro.scenarios import build_count, build_key, klagenfurt
+
+
+def captured_plans(call):
+    """Run ``call()``; return each run list it hands to
+    :meth:`BatchExecutor.map`, in call order."""
+    plans = []
+    original = BatchExecutor.map
+
+    def spy(self, runs):
+        plans.append(list(runs))
+        return original(self, plans[-1])
+
+    with mock.patch.object(BatchExecutor, "map", spy):
+        call()
+    return plans
+
+
+def record_bytes(executor, runs):
+    """Every record of ``runs`` through ``executor``, as JSON text."""
+    with executor:
+        return [outcome.record.to_json() for outcome in executor.map(runs)]
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +135,24 @@ def test_sweep_shape(analysis):
     assert set(sweep) == set(SensitivityAnalysis.KNOBS)
     for results in sweep.values():
         assert [r.scale for r in results] == [0.9, 1.1]
+
+
+@pytest.mark.parametrize("method, builds", [("elasticities", 4),
+                                            ("sweep", 7)])
+def test_study_is_one_batch_sharing_builds(analysis, method, builds):
+    """The whole study is one run list in one ``map`` call; the knobs
+    that keep the baseline build key reuse its compiled world, and
+    the records equal the serial oracle's."""
+    before = build_count()
+    plan, = captured_plans(getattr(analysis, method))
+    assert build_count() - before == builds
+    assert len({run.run_id for run in plan}) == len(plan)
+    assert record_bytes(BatchExecutor(), plan) == \
+        record_bytes(SerialExecutor(), plan)
+
+
+def test_plan_variants_name_knob_and_scale(analysis):
+    run, = analysis.plan([("peer_load", 0.8)])
+    assert run.variant == (("knob", "peer_load"), ("scale", 0.8))
+    assert run.scenario == analysis.spec_for("peer_load", 0.8)
+    assert (run.seed, run.density) == (42, 2.0)

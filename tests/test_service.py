@@ -19,6 +19,7 @@ import pytest
 import repro
 import repro.service.worker as worker_module
 from repro.__main__ import main
+from repro.core import SensitivityAnalysis, SixGUpgradeStudy
 from repro.fleet import (
     BatchExecutor,
     FleetStore,
@@ -26,6 +27,7 @@ from repro.fleet import (
     RemoteExecutor,
     ResultCache,
     RunSpec,
+    SerialExecutor,
     SweepAxis,
     SweepSpec,
     run_sweep,
@@ -54,6 +56,7 @@ from repro.service.contracts import (
     ResultSubmission,
     SubmitAck,
 )
+from test_sensitivity import captured_plans, record_bytes
 
 AXIS = "campaign.handover_interruption_s"
 DENSITY = 2.0
@@ -1376,6 +1379,33 @@ def test_cli_worker_rejects_malformed_server_url(capsys):
                  "--max-retries", "1"]) == 2
     err = capsys.readouterr().err
     assert "invalid server URL" in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# The what-if studies' run lists through the service
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def study_plans():
+    """The run list each study entry point hands its executor."""
+    analysis = SensitivityAnalysis(seed=42, mean_positions_per_cell=2.0)
+    upgrade = SixGUpgradeStudy(seed=42, mean_positions_per_cell=2.0)
+    return {name: captured_plans(call)[0] for name, call in (
+        ("elasticities", analysis.elasticities),
+        ("sweep", analysis.sweep),
+        ("upgrade", upgrade.run))}
+
+
+@pytest.mark.parametrize("study", ["elasticities", "sweep", "upgrade"])
+def test_study_plans_through_remote_match_serial(service, study_plans,
+                                                 study):
+    runs = study_plans[study]
+    # One base spec plus per-run overrides on the wire.
+    assert len(pack_runs(runs)["bases"]) == 1
+    worker = _start_worker(service.url, worker_id=f"study-{study}")
+    remote = record_bytes(RemoteExecutor(server=service.url), runs)
+    worker.join(timeout=30.0)
+    assert remote == record_bytes(SerialExecutor(), runs)
 
 
 # ---------------------------------------------------------------------------
