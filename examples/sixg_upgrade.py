@@ -5,6 +5,9 @@ Re-runs the complete Section IV drive test over four deployment arms
 and prints per-arm Fig. 2-style heatmaps — the experiment the paper's
 future work promises ("validate the proposed recommendations").
 
+The study's run list (one run per arm) goes through the fleet's batch
+executor, and each heatmap is drawn from its run's record.
+
 The story the numbers tell: edge breakout alone fixes the wired detour
 but not the loaded 5G air interface; the 6G radio alone fixes the air
 interface but still pays the Vienna hairpin; together they bring every
@@ -15,21 +18,23 @@ Run:  python examples/sixg_upgrade.py
 
 from repro import units
 from repro.core import (
-    InfrastructureEvaluation,
     SixGUpgradeStudy,
     render_comparison_table,
     render_grid_heatmap,
 )
+from repro.fleet import BatchExecutor
 
 
 def main() -> None:
     study = SixGUpgradeStudy()
+    plan = study.plan()
+    with BatchExecutor() as executor:
+        outcomes = list(executor.map(plan))
     rows = []
     heatmaps = {}
-    for arm in study.ARMS:
-        result = InfrastructureEvaluation(
-            42, 4.0, scenario=study.arm_spec(arm)).run()
-        gap = result.gap
+    for arm, run, outcome in zip(study.ARMS, plan, outcomes):
+        summary = outcome.record.summary
+        gap = summary.gap
         rows.append([
             arm.name,
             units.to_ms(gap.mobile_mean_s),
@@ -38,7 +43,7 @@ def main() -> None:
             "yes" if SixGUpgradeStudy.meets_requirement(gap) else "no",
         ])
         heatmaps[arm.name] = render_grid_heatmap(
-            result.scenario.grid, result.statistics.mean_matrix_ms(),
+            run.scenario.grid.build(), summary.mean_matrix_ms,
             title=f"Mean RTL — {arm.name}")
 
     print(render_comparison_table(

@@ -11,7 +11,6 @@ what-if variant.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Union
@@ -23,7 +22,7 @@ from ..probes.stats import CellStatistics
 from ..scenarios import build as compile_spec
 from ..scenarios import get as get_spec
 from ..scenarios.build import BuiltScenario
-from ..scenarios.spec import ScenarioSpec
+from ..scenarios.spec import ScenarioSpec, canonical_dumps
 from .gap import GapAnalysis, GapReport
 from .report import render_grid_heatmap
 
@@ -108,15 +107,13 @@ class EvaluationSummary:
         return cls(**data)
 
     def canonical_json(self) -> str:
-        """Digest-stable serialization: sorted keys, compact separators.
+        """Digest-stable serialization: sorted keys, compact separators
+        (:func:`~repro.scenarios.spec.canonical_dumps`, which also
+        hashes the record payloads embedding this dict).
 
         Structurally equal summaries always produce identical bytes.
-        Uses the same rules as :func:`repro.fleet.cache.canonical_dumps`
-        (which hashes record payloads embedding this dict), kept local
-        because :mod:`repro.core` sits below the fleet layer.
         """
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        return canonical_dumps(self.to_dict())
 
 
 @dataclass

@@ -35,8 +35,9 @@ from typing import Any, Iterator, Mapping, Optional, Sequence, Union
 
 from ..sim.sync import WatchedLock, guarded_by
 from .executors import Executor, RunOutcome
-# canonical_dumps/run_key moved to .sweep (they define run identity,
-# not just cache addressing); re-exported here for compatibility.
+# run_key lives in .sweep (it defines run identity, not just cache
+# addressing), canonical_dumps in repro.scenarios.spec; both are
+# re-exported here for compatibility.
 from .sweep import RunRecord, RunSpec, canonical_dumps, run_key
 
 __all__ = [

@@ -182,11 +182,12 @@ def resume_sweep(directory: Union[str, Path], *, jobs: int = 1,
     """Complete a partially-written fleet directory.
 
     Re-expands the manifest's sweep, keeps every on-disk record whose
-    content identity verifies against its expanded run (flagged
-    ``cached`` in the result, wall time carried over from the prior
-    manifest where known), executes the store's
-    :meth:`~repro.fleet.store.FleetStore.missing_runs`, and rewrites
-    the directory as a finished fleet.  A record whose ``spec_key`` (or
+    content identity verifies against its expanded run
+    (:meth:`~repro.fleet.store.FleetStore.matching_records`, which
+    reads each record file once; flagged ``cached`` in the result,
+    wall time carried over from the prior manifest where known),
+    executes the rest, and rewrites the directory as a finished
+    fleet.  A record whose ``spec_key`` (or
     legacy metadata, for digest-less v2 records) disagrees with the
     manifest's current spec — say, an axis value edited since the
     original sweep — is stale and recomputed, never silently reused.
@@ -197,13 +198,13 @@ def resume_sweep(directory: Union[str, Path], *, jobs: int = 1,
     manifest = store.read_manifest()
     sweep = SweepSpec.from_dict(manifest["sweep"])
     runs = sweep.expand()
-    missing = {run.run_id for run in store.missing_runs()}
     prior_wall = {entry["run_id"]: entry.get("wall_s", 0.0)
                   for entry in manifest.get("runs", [])}
+    matching = store.matching_records(runs)
     reused = {run.run_id: RunOutcome(
-                  record=store.read_record(run.run_id),
+                  record=matching[run.run_id],
                   wall_s=prior_wall.get(run.run_id, 0.0), cached=True)
-              for run in runs if run.run_id not in missing}
+              for run in runs if run.run_id in matching}
     return _execute(sweep, runs, store, jobs=jobs, executor=executor,
                     cache=cache, progress=progress, reused=reused,
                     begin=False)

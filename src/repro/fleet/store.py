@@ -28,7 +28,7 @@ import statistics as pystats
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
 from .sweep import RunRecord, RunSpec, SweepSpec, record_matches_spec
 
@@ -323,21 +323,27 @@ class FleetStore:
             cached=tuple(cached),
         )
 
-    def missing_runs(self) -> tuple[RunSpec, ...]:
-        """The expansion's runs with no *matching* record on disk.
+    def matching_records(self, runs: Sequence[RunSpec]
+                         ) -> dict[str, RunRecord]:
+        """The records on disk that answer one of ``runs``, keyed by
+        run id; each file is parsed once.
 
         A record counts only if its content identity verifies against
-        the expanded run (``spec_key``, or the legacy metadata
-        fallback) — a record left by an earlier sweep whose manifest
-        spec has since been edited is stale, not present.
+        its run (``spec_key``, or the legacy metadata fallback) — a
+        record left by an earlier sweep whose manifest spec has since
+        been edited is stale, not present.
         """
-        manifest = self.read_manifest()
-        sweep = SweepSpec.from_dict(manifest["sweep"])
         existing = self.existing_records()
-        return tuple(
-            run for run in sweep.expand()
-            if run.run_id not in existing
-            or not record_matches_spec(existing[run.run_id], run))
+        return {run.run_id: existing[run.run_id] for run in runs
+                if run.run_id in existing
+                and record_matches_spec(existing[run.run_id], run)}
+
+    def missing_runs(self) -> tuple[RunSpec, ...]:
+        """The expansion's runs with no matching record on disk (see
+        :meth:`matching_records`)."""
+        runs = SweepSpec.from_dict(self.read_manifest()["sweep"]).expand()
+        present = self.matching_records(runs)
+        return tuple(run for run in runs if run.run_id not in present)
 
     def resume(self, *, jobs: int = 1, executor: "ExecutorLike" = None,
                cache: "CacheLike" = None,

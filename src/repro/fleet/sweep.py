@@ -41,7 +41,7 @@ from typing import Any, Mapping, Sequence
 
 from ..core.evaluation import EvaluationSummary
 from ..scenarios.identity import build_key as spec_build_key
-from ..scenarios.spec import ScenarioSpec
+from ..scenarios.spec import FULL_FORM, ScenarioSpec, canonical_dumps
 
 __all__ = [
     "RunRecord",
@@ -56,20 +56,15 @@ __all__ = [
 ]
 
 
-def canonical_dumps(value: Any) -> str:
-    """Digest-stable JSON: sorted keys, compact separators.
-
-    Two structurally equal values always serialize to the same bytes,
-    so hashing this text gives a stable content address.
-    """
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
 def run_key(spec: ScenarioSpec, seed: int, density: float) -> str:
-    """SHA-256 content address of one run's complete inputs."""
-    payload = {"spec": spec.to_dict(), "seed": int(seed),
-               "density": float(density)}
-    return hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()
+    """SHA-256 content address of one run's complete inputs: the
+    digest of ``canonical_dumps({"spec": spec.to_dict(), "seed": seed,
+    "density": density})``, its text assembled from the spec layers'
+    canonical texts (:class:`~repro.scenarios.spec.CanonicalForm`)."""
+    text = (f'{{"density":{canonical_dumps(float(density))},'
+            f'"seed":{canonical_dumps(int(seed))},'
+            f'"spec":{FULL_FORM.text(spec)}}}')
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -301,6 +296,8 @@ def _spec_diff(old: Any, new: Any, path: str, out: dict[str, Any]) -> bool:
                     for f in fields(old)]
     elif (isinstance(old, tuple) and isinstance(new, tuple)
             and len(old) == len(new)):
+        if old == new and FULL_FORM.text(old) == FULL_FORM.text(new):
+            return True        # equal down to the serialised bytes
         children = [(str(index), a, b)
                     for index, (a, b) in enumerate(zip(old, new))]
     elif type(old) is type(new) and old == new:

@@ -38,10 +38,15 @@ classification decision here.
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Any
 
-from .spec import ScenarioSpec
+from .spec import (
+    CanonicalForm,
+    CampaignSpec,
+    PeerSpec,
+    ScenarioSpec,
+    canonical_dumps,
+)
 
 __all__ = [
     "SAMPLING_CAMPAIGN_FIELDS",
@@ -65,6 +70,13 @@ SAMPLING_CAMPAIGN_FIELDS: frozenset[str] = frozenset({
 
 #: ``PeerSpec`` fields read only by the per-run sampling phase.
 SAMPLING_PEER_FIELDS: frozenset[str] = frozenset({"air_load", "sinr_db"})
+
+#: The build layer as canonical text: every field but the sampling ones.
+_BUILD_FORM = CanonicalForm("build", {
+    ScenarioSpec: SAMPLING_SCENARIO_FIELDS,
+    CampaignSpec: SAMPLING_CAMPAIGN_FIELDS,
+    PeerSpec: SAMPLING_PEER_FIELDS,
+})
 
 
 def build_payload(spec: ScenarioSpec) -> dict[str, Any]:
@@ -91,12 +103,13 @@ def build_key(spec: ScenarioSpec, seed: int, density: float) -> str:
     """SHA-256 content address of one run's *build* inputs.
 
     Runs sharing a ``build_key`` differ only in sampling-layer fields
-    and can evaluate against one compiled scenario.  Serialisation
-    mirrors :func:`repro.fleet.sweep.canonical_dumps` (sorted keys,
-    compact separators), kept local because :mod:`repro.scenarios`
-    sits below the fleet layer.
+    and can evaluate against one compiled scenario.  The digest is
+    that of ``canonical_dumps({"build": build_payload(spec), "seed":
+    seed, "density": density})``, its text assembled from the layers'
+    canonical texts (:class:`~repro.scenarios.spec.CanonicalForm`)
+    instead of a fresh dict.
     """
-    payload = {"build": build_payload(spec), "seed": int(seed),
-               "density": float(density)}
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    text = (f'{{"build":{_BUILD_FORM.text(spec)},'
+            f'"density":{canonical_dumps(float(density))},'
+            f'"seed":{canonical_dumps(int(seed))}}}')
     return hashlib.sha256(text.encode()).hexdigest()

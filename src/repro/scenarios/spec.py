@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import json
+from json.encoder import encode_basestring_ascii as _encode_str
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import (
     Any,
@@ -59,6 +60,9 @@ __all__ = [
     "ProbeSpec",
     "CampaignSpec",
     "ScenarioSpec",
+    "CanonicalForm",
+    "FULL_FORM",
+    "canonical_dumps",
 ]
 
 
@@ -70,19 +74,239 @@ def _pairs(mapping: Mapping[Any, Any] | Sequence[Any]
     pair order is its insertion history, so two structurally equal
     dicts built in different orders would otherwise serialize — and
     content-hash — differently.  Explicit pair *sequences* keep their
-    caller-chosen order; they already are ordered values.
+    caller-chosen order; they already are ordered values.  A tuple
+    that is already normal is returned as it is, so a layer rebuilt by
+    an override shares it with the layer it was patched from.
     """
     if isinstance(mapping, Mapping):
         items: Iterable[Any] = sorted(
             mapping.items(), key=lambda pair: str(pair[0]))
     else:
         items = mapping
-    return tuple((k, tuple(v) if isinstance(v, (list, tuple)) else v)
-                 for k, v in items)
+    pairs = tuple((k, tuple(v) if isinstance(v, (list, tuple)) else v)
+                  for k, v in items)
+    return mapping if type(mapping) is tuple and pairs == mapping \
+        else pairs
 
 
 def _int_pairs(seq: Sequence[Any]) -> tuple[tuple[int, int], ...]:
+    if type(seq) is tuple and all(
+            type(pair) is tuple and len(pair) == 2
+            and type(pair[0]) is int and type(pair[1]) is int
+            for pair in seq):
+        return seq
     return tuple((int(a), int(b)) for a, b in seq)
+
+
+def _layer_tuple(cls: type, items: Sequence[Any]) -> tuple[Any, ...]:
+    """``items`` as a tuple of ``cls`` layers, built from any dicts
+    among them; a tuple of layers is returned as it is (see
+    :func:`_pairs`)."""
+    if type(items) is tuple and all(type(item) is cls for item in items):
+        return items
+    return tuple(item if isinstance(item, cls) else cls.from_dict(item)
+                 for item in items)
+
+
+#: The one canonical JSON encoder: sorted keys, compact separators.
+#: (Without the cycle check, which changes no output, only its cost.)
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                              check_circular=False)
+
+#: ``float.__repr__`` of the non-finite floats, and what JSON calls them.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def canonical_dumps(value: Any) -> str:
+    """Digest-stable JSON: sorted keys, compact separators.
+
+    Two structurally equal values always serialize to the same bytes,
+    so hashing this text gives a stable content address.
+    """
+    return _CANONICAL.encode(value)
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(cls: type, omitted: frozenset[str]
+            ) -> tuple[tuple[str, str], ...]:
+    """A layer class's serialised fields, in canonical order, as
+    ``(name, '"name":')`` pairs."""
+    return tuple((name, f'"{name}":') for name in sorted(
+        f.name for f in fields(cls) if f.name not in omitted))
+
+
+class CanonicalForm:
+    """``canonical_dumps(layer.to_dict())`` of spec layers, less the
+    fields ``omit`` names per layer class, without building the dict.
+
+    Every layer's ``to_dict`` is a field-for-field image of the layer
+    (tuples as lists), so the text is assembled field by field, and
+    layers that runs share are not encoded once per run:
+
+    * a *shared* layer — one below the root of a spec others are
+      derived from (:func:`_share_layer_texts`) — keeps its text in its
+      instance dict;
+    * a layer ``with_overrides`` patched out of a shared one records
+      that origin and the fields it patched, and its text is the
+      origin's with only those fields re-encoded.
+
+    A layer that is not shared keeps no text, so a run's own layers
+    hold nothing per run.
+    """
+
+    def __init__(self, name: str,
+                 omit: Mapping[type, frozenset[str]] = {}) -> None:
+        self.omit = dict(omit)
+        self.cache_key = f"_canonical_{name}"
+        self._bounds_key = f"_canonical_{name}_bounds"
+
+    def text(self, value: Any) -> str:
+        """The text of a layer, or of any value a layer field holds."""
+        return self._value(value, False)
+
+    def _layer(self, layer: Any, store: bool) -> str:
+        omitted = self.omit.get(type(layer))
+        # Classes this form leaves nothing out of share the full text.
+        key = _FULL_TEXT if omitted is None else self.cache_key
+        cache = layer.__dict__
+        text = cache.get(key)
+        if text is not None:
+            return text
+        layout = _layout(type(layer), omitted or frozenset())
+        patch = cache.get(_PATCHED_FROM)
+        if patch is not None:
+            text = self._spliced(layer, layout, *patch, store)
+        elif store or _FULL_TEXT in cache or _holds_kept_layers(layer,
+                                                                layout):
+            text = "{" + ",".join([
+                prefix + self._value(getattr(layer, name), store)
+                for name, prefix in layout]) + "}"
+        else:
+            # Nothing kept here or below: one encoder call for the lot.
+            return _CANONICAL.encode(self._plain(layer))
+        if store or _FULL_TEXT in cache:
+            cache[key] = text
+        return text
+
+    def _spliced(self, layer: Any, layout: tuple[tuple[str, str], ...],
+                 origin: Any, patched: frozenset[str], store: bool) -> str:
+        """``layer``'s text as its shared ``origin``'s, with the fields
+        in ``patched`` re-encoded from ``layer``."""
+        text = self._layer(origin, False)
+        bounds = origin.__dict__.get(self._bounds_key)
+        if bounds is None:
+            # Where each field's ``"name":value`` starts in the text
+            # (and one past the closing brace), once per origin.
+            bounds, start = [], 1
+            for name, prefix in layout:
+                bounds.append(start)
+                start += len(prefix) + len(
+                    self._value(getattr(origin, name), False)) + 1
+            bounds.append(start)
+            bounds = origin.__dict__[self._bounds_key] = tuple(bounds)
+        pieces, done = [], 0
+        for index, (name, prefix) in enumerate(layout):
+            if name in patched:
+                pieces.append(text[done:bounds[index]])
+                pieces.append(prefix + self._value(getattr(layer, name),
+                                                   store))
+                done = bounds[index + 1] - 1
+        pieces.append(text[done:])
+        return "".join(pieces)
+
+    def _value(self, value: Any, store: bool) -> str:
+        kind = type(value)
+        if kind is str:
+            return _encode_str(value)
+        if kind is float:
+            text = float.__repr__(value)
+            return _NON_FINITE.get(text, text)
+        if kind is int:
+            return int.__repr__(value)
+        if value is None:
+            return "null"
+        if hasattr(kind, "__dataclass_fields__"):
+            return self._layer(value, store)
+        if (kind is tuple and value
+                and hasattr(type(value[0]), "__dataclass_fields__")):
+            if store or any(map(_kept, value)):
+                key = (_FULL_TEXT if type(value[0]) not in self.omit
+                       else self.cache_key)
+                return "[" + ",".join([item.__dict__.get(key)
+                                       or self._layer(item, store)
+                                       for item in value]) + "]"
+            # Layers that keep nothing: one encoder call for them all.
+            return _CANONICAL.encode([self._plain(item) for item in value])
+        return _CANONICAL.encode(value)
+
+    def _plain(self, value: Any) -> Any:
+        """``value`` as data this form encodes like its text: layers as
+        dicts, every other value (a tuple encodes as a list) as is."""
+        if hasattr(type(value), "__dataclass_fields__"):
+            omitted = self.omit.get(type(value))
+            if omitted is None:
+                return value.to_dict()
+            return {name: self._plain(getattr(value, name))
+                    for name, _ in _layout(type(value), omitted)}
+        if (type(value) is tuple and value
+                and hasattr(type(value[0]), "__dataclass_fields__")):
+            return [self._plain(item) for item in value]
+        return value
+
+
+#: The whole of every layer: what :func:`~repro.fleet.sweep.run_key`
+#: hashes.
+FULL_FORM = CanonicalForm("full")
+#: Instance-dict entries of the text cache: a shared layer's full text
+#: (its presence is what marks the layer shared), a patched layer's
+#: ``(shared origin, patched field names)``, and the mark of a spec
+#: whose layers are shared.
+_FULL_TEXT = FULL_FORM.cache_key
+_PATCHED_FROM = "_patched_from"
+_SHARED = "_layers_shared"
+
+
+def _kept(layer: Any) -> bool:
+    """Whether ``layer`` is shared or patched out of a shared layer."""
+    return _FULL_TEXT in layer.__dict__ or _PATCHED_FROM in layer.__dict__
+
+
+def _holds_kept_layers(layer: Any,
+                       layout: tuple[tuple[str, str], ...]) -> bool:
+    """Whether a field of ``layer`` holds a kept layer (see
+    :func:`_kept`; a tuple of layers is judged by its first)."""
+    for name, _ in layout:
+        value = getattr(layer, name)
+        if type(value) is tuple:
+            value = value[0] if value else None
+        if hasattr(type(value), "__dataclass_fields__") and _kept(value):
+            return True
+    return False
+
+
+def _share_layer_texts(spec: "ScenarioSpec") -> None:
+    """Mark every layer below ``spec``'s root shared, caching its
+    :data:`FULL_FORM` text (see :class:`CanonicalForm`).
+
+    Called on a spec other specs are derived from: the derivatives
+    share its unpatched layers by identity.
+    """
+    if spec.__dict__.get(_SHARED):
+        return
+    for name, _ in _layout(type(spec), frozenset()):
+        FULL_FORM._value(getattr(spec, name), True)
+    spec.__dict__[_SHARED] = True
+
+
+def _note_patch(new: Any, old: Any, names: frozenset[str]) -> None:
+    """Record that layer ``new`` is ``old`` with the fields ``names``
+    patched, against ``old``'s nearest shared origin — when it has one:
+    a root, or a layer built from an override's mapping, has none."""
+    if _FULL_TEXT in old.__dict__:
+        new.__dict__[_PATCHED_FROM] = (old, names)
+    elif _PATCHED_FROM in old.__dict__:
+        origin, patched = old.__dict__[_PATCHED_FROM]
+        new.__dict__[_PATCHED_FROM] = (origin, patched | names)
 
 
 @functools.lru_cache(maxsize=None)
@@ -136,37 +360,62 @@ def _coerced(old: Any, new: Any, path: str, *,
         f"{new!r} over {type(old).__name__} {old!r}")
 
 
-def _patched(value: Any, parts: Sequence[str], new: Any, path: str) -> Any:
-    """``value`` rebuilt with ``new`` applied at the dotted ``parts``."""
-    head, rest = parts[0], parts[1:]
+#: One override below some value: the dotted path's remaining parts,
+#: the new value, and the whole path (for error messages).
+_Patch = tuple[Sequence[str], Any, str]
+
+
+def _patched(value: Any, patches: Sequence[_Patch]) -> Any:
+    """``value`` rebuilt with every patch applied, each field or entry
+    on their paths rebuilt once, however many patches reach it."""
+    below: dict[str, list[_Patch]] = {}
+    for parts, new, path in patches:
+        below.setdefault(parts[0], []).append((parts[1:], new, path))
     if isinstance(value, tuple):
-        try:
-            index = int(head)
-        except ValueError:
-            raise KeyError(
-                f"override {path!r}: {head!r} is not an integer index "
-                f"into a tuple field") from None
-        if not 0 <= index < len(value):
-            raise KeyError(
-                f"override {path!r}: index {index} out of range "
-                f"(field has {len(value)} entries)")
-        replacement = (_patched(value[index], rest, new, path) if rest
-                       else _coerced(value[index], new, path))
-        return value[:index] + (replacement,) + value[index + 1:]
+        items = list(value)
+        for head, group in sorted(below.items()):
+            path = group[0][2]
+            try:
+                index = int(head)
+            except ValueError:
+                raise KeyError(
+                    f"override {path!r}: {head!r} is not an integer index "
+                    f"into a tuple field") from None
+            if not 0 <= index < len(value):
+                raise KeyError(
+                    f"override {path!r}: index {index} out of range "
+                    f"(field has {len(value)} entries)")
+            items[index] = _replacement(value[index], group)
+        return tuple(items)
     if is_dataclass(value):
         names = [f.name for f in fields(value)]
-        if head not in names:
-            raise KeyError(
-                f"override {path!r}: {type(value).__name__} has no field "
-                f"{head!r}; known: {', '.join(names)}")
-        current = getattr(value, head)
-        replacement = (_patched(current, rest, new, path) if rest
-                       else _coerced(current, new, path,
-                                     optional=_is_optional(value, head)))
-        return replace(value, **{head: replacement})
+        changes = {}
+        for head, group in sorted(below.items()):
+            if head not in names:
+                raise KeyError(
+                    f"override {group[0][2]!r}: {type(value).__name__} has "
+                    f"no field {head!r}; known: {', '.join(names)}")
+            changes[head] = _replacement(
+                getattr(value, head), group,
+                optional=_is_optional(value, head))
+        patched = replace(value, **changes)
+        _note_patch(patched, value, frozenset(changes))
+        return patched
     raise KeyError(
-        f"override {path!r}: cannot descend into "
-        f"{type(value).__name__} at {head!r}")
+        f"override {patches[0][2]!r}: cannot descend into "
+        f"{type(value).__name__} at {patches[0][0][0]!r}")
+
+
+def _replacement(current: Any, group: Sequence[_Patch], *,
+                 optional: bool = False) -> Any:
+    """``current`` with ``group`` applied: an override of ``current``
+    itself first (its path sorts before every path below it), then the
+    ones below it."""
+    rest, new, path = group[0]
+    if not rest:
+        current = _coerced(current, new, path, optional=optional)
+        group = group[1:]
+    return _patched(current, group) if group else current
 
 
 @dataclass(frozen=True)
@@ -273,9 +522,8 @@ class RadioSpec:
     shadowing_sigma_db: float = 6.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sites", tuple(
-            s if isinstance(s, SiteSpec) else SiteSpec.from_dict(s)
-            for s in self.sites))
+        object.__setattr__(self, "sites",
+                           _layer_tuple(SiteSpec, self.sites))
         if not self.sites:
             raise ValueError("radio spec needs at least one site")
 
@@ -510,20 +758,19 @@ class CampaignSpec:
     min_samples: int = 2
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gateways", tuple(
-            g if isinstance(g, GatewaySpec) else GatewaySpec.from_dict(g)
-            for g in self.gateways))
-        object.__setattr__(self, "peers", tuple(
-            p if isinstance(p, PeerSpec) else PeerSpec.from_dict(p)
-            for p in self.peers))
+        object.__setattr__(self, "gateways",
+                           _layer_tuple(GatewaySpec, self.gateways))
+        object.__setattr__(self, "peers",
+                           _layer_tuple(PeerSpec, self.peers))
         object.__setattr__(self, "default_targets",
                            tuple(self.default_targets))
         object.__setattr__(self, "cell_targets", _pairs(self.cell_targets))
         object.__setattr__(self, "gateway_by_cell",
                            _pairs(self.gateway_by_cell))
         if self.extra_load_range is not None:
+            # An empty range is no range: ``to_dict`` writes it as None.
             object.__setattr__(self, "extra_load_range",
-                               tuple(self.extra_load_range))
+                               tuple(self.extra_load_range) or None)
         object.__setattr__(self, "extra_load_anchors",
                            _pairs(self.extra_load_anchors))
         object.__setattr__(self, "handover_prob", _pairs(self.handover_prob))
@@ -605,20 +852,16 @@ class ScenarioSpec:
             value = getattr(self, attr)
             if not isinstance(value, kind):
                 object.__setattr__(self, attr, kind.from_dict(value))
-        object.__setattr__(self, "systems", tuple(
-            s if isinstance(s, ASSpec) else ASSpec.from_dict(s)
-            for s in self.systems))
+        object.__setattr__(self, "systems",
+                           _layer_tuple(ASSpec, self.systems))
         object.__setattr__(self, "transits", _int_pairs(self.transits))
         object.__setattr__(self, "peerings", _int_pairs(self.peerings))
-        object.__setattr__(self, "nodes", tuple(
-            n if isinstance(n, NodeSpec) else NodeSpec.from_dict(n)
-            for n in self.nodes))
-        object.__setattr__(self, "links", tuple(
-            l if isinstance(l, LinkSpec) else LinkSpec.from_dict(l)
-            for l in self.links))
-        object.__setattr__(self, "probes", tuple(
-            p if isinstance(p, ProbeSpec) else ProbeSpec.from_dict(p)
-            for p in self.probes))
+        object.__setattr__(self, "nodes",
+                           _layer_tuple(NodeSpec, self.nodes))
+        object.__setattr__(self, "links",
+                           _layer_tuple(LinkSpec, self.links))
+        object.__setattr__(self, "probes",
+                           _layer_tuple(ProbeSpec, self.probes))
 
     # -- serialisation ----------------------------------------------------
 
@@ -671,18 +914,19 @@ class ScenarioSpec:
         An unknown path raises :class:`KeyError` (naming the known
         fields), a value of the wrong kind raises :class:`TypeError`,
         and ints promote into float fields.  Every patched layer is
-        rebuilt through its constructor, so layer validation
+        rebuilt once, through its constructor, so layer validation
         (``__post_init__``) reruns on the result.
         """
-        spec = self
+        _share_layer_texts(self)
         # Sorted application order (REP003): override dicts carry no
         # meaningful order, so applying them alphabetically keeps the
         # patched spec independent of the caller's insertion history
-        # (distinct dotted paths commute; overlapping ones now resolve
-        # deterministically instead of by construction order).
+        # (distinct dotted paths commute; overlapping ones resolve
+        # deterministically, the outer one first).
+        patches = []
         for path, value in sorted(overrides.items()):
             parts = path.split(".")
             if not path or any(not p for p in parts):
                 raise KeyError(f"malformed override path {path!r}")
-            spec = _patched(spec, parts, value, path)
-        return spec
+            patches.append((parts, value, path))
+        return _patched(self, patches) if patches else self

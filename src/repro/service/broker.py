@@ -73,6 +73,7 @@ from .contracts import (
     ContractError,
     FleetStatus,
     LeaseGrant,
+    LeaseGroup,
     ResultAck,
     ResultSubmission,
     SubmitAck,
@@ -158,6 +159,27 @@ class _Fleet:
     def done_count(self) -> int:
         return sum(1 for slot in self.slots if slot.state == DONE)
 
+    def packed_group(self, members: Sequence[int]) -> dict[str, Any]:
+        """The runs at ``members`` as a ``pack_runs`` payload: for a
+        run-list fleet, the entries it was submitted as, their bases
+        renumbered within the group; a sweep fleet's runs are packed
+        here."""
+        if not self.packed:
+            return pack_runs([self.slots[index].run for index in members])
+        bases: list[Any] = []
+        renumbered: dict[int, int] = {}
+        runs = []
+        for index in members:
+            entry = self.packed["runs"][index]
+            if "base" in entry:       # not a full RunSpec dict
+                base = renumbered.get(entry["base"])
+                if base is None:
+                    base = renumbered[entry["base"]] = len(bases)
+                    bases.append(self.packed["bases"][entry["base"]])
+                entry = dict(entry, base=base)
+            runs.append(entry)
+        return {"bases": bases, "runs": runs}
+
     def submit_entry(self) -> dict[str, Any]:
         """The journal entry that re-creates this fleet on replay."""
         entry: dict[str, Any] = {"type": "submit",
@@ -168,6 +190,11 @@ class _Fleet:
         else:
             entry.update(self.packed)
         return entry
+
+
+#: A granted build-key group: its fleet, the slot indices, and the
+#: lease id of each.
+_Granted = tuple[_Fleet, list[int], list[str]]
 
 
 class FleetBroker:
@@ -264,15 +291,17 @@ class FleetBroker:
         there is no manifest, just a lightweight job file.
 
         ``packed`` is the payload ``runs`` were unpacked from (the
-        server passes what it received); the journal stores it as it
-        is.  Without it the runs are packed here."""
+        server passes what it received); the journal stores it, and
+        group leases hand out its entries, as they are.  Without it,
+        or when it carries no bases (full ``RunSpec`` dicts), the runs
+        are packed here."""
         if not runs:
             raise ValueError("fleet needs at least one run")
         ids = [run.run_id for run in runs]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate run ids in submitted fleet")
         return self._submit(list(runs), None, submission_key,
-                            packed if packed is not None
+                            packed if packed and packed.get("bases")
                             else pack_runs(runs))
 
     def _check_capacity(self, incoming: int) -> None:  # lint: holds(_cond)
@@ -362,12 +391,24 @@ class FleetBroker:
               wait_s: float = 0.0) -> Optional[LeaseGrant]:
         """Check the next pending run out to ``worker_id``, or
         ``None`` when none arrives within ``wait_s`` (or the broker is
-        draining) — :meth:`lease_group` with ``max_runs=1``."""
-        grants = self.lease_group(worker_id, max_runs=1, wait_s=wait_s)
-        return grants[0] if grants else None
+        draining) — :meth:`lease_packed` with ``max_runs=1``, its run
+        a full :class:`RunSpec` dict."""
+        granted = self._checkout(worker_id, 1, wait_s)
+        if granted is None:
+            return None
+        fleet, members, lease_ids = granted
+        return LeaseGrant(lease_id=lease_ids[0], fleet_id=fleet.fleet_id,
+                          run=fleet.slots[members[0]].run.to_dict(),
+                          ttl_s=self.lease_ttl_s)
 
     def lease_group(self, worker_id: str, *, max_runs: int = 1,
                     wait_s: float = 0.0) -> list[LeaseGrant]:
+        """The grants of :meth:`lease_packed`; ``[]`` for none."""
+        return list(self.lease_packed(worker_id, max_runs=max_runs,
+                                      wait_s=wait_s).grants)
+
+    def lease_packed(self, worker_id: str, *, max_runs: int = 1,
+                     wait_s: float = 0.0) -> LeaseGroup:
         """Check out to ``worker_id`` the next build-key group: the
         first pending run in submission order plus every later pending
         run of its fleet with the same build key, one lease id each.
@@ -375,16 +416,39 @@ class FleetBroker:
         worker's fair share (:meth:`_fair_share`), so workers that are
         waiting at the same time split a large group.
 
+        The answer is packed (see :class:`LeaseGroup`): the group's
+        base specs once, and per grant the compact run — for a fleet
+        submitted as a run list, the entry it was submitted as; a
+        sweep fleet's group is packed here.
+
         Expired leases are swept first, so a dead worker's runs are
         offered again here.  With nothing pending, waits up to
-        ``wait_s`` for a submission or a requeue; returns ``[]`` when
-        none comes or once :meth:`drain` starts.  Raises
+        ``wait_s`` for a submission or a requeue; the group is empty
+        when none comes or once :meth:`drain` starts.  Raises
         :class:`BrokerBusy` when the per-worker lease rate cap refuses
         a grant that work exists for — the worker should wait
         ``retry_after_s`` and come back.
         """
         if max_runs < 1:
             raise ValueError("max_runs must be >= 1")
+        granted = self._checkout(worker_id, max_runs, wait_s)
+        if granted is None:
+            return LeaseGroup(draining=self.draining())
+        fleet, members, lease_ids = granted
+        # Unlocked: a fleet's runs and submitted payload never change.
+        packed = fleet.packed_group(members)
+        return LeaseGroup(
+            grants=tuple(LeaseGrant(lease_id=lease_id,
+                                    fleet_id=fleet.fleet_id, run=run,
+                                    ttl_s=self.lease_ttl_s)
+                         for lease_id, run in zip(lease_ids,
+                                                  packed["runs"])),
+            bases=tuple(packed["bases"]))
+
+    def _checkout(self, worker_id: str, max_runs: int,
+                  wait_s: float) -> Optional[_Granted]:
+        """Lease the next build-key group, waiting up to ``wait_s`` for
+        one; ``None`` when nothing was granted."""
         deadline = time.monotonic() + wait_s
         with self._cond:
             self._waiting[worker_id] = self._waiting.get(worker_id, 0) + 1
@@ -392,9 +456,9 @@ class FleetBroker:
                 while not self._draining:
                     now = self.clock()
                     self._expire(now)
-                    grants = self._grant(worker_id, max_runs, now)
-                    if grants:
-                        return grants
+                    granted = self._grant(worker_id, max_runs, now)
+                    if granted is not None:
+                        return granted
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         break
@@ -403,11 +467,11 @@ class FleetBroker:
                 calls = self._waiting.pop(worker_id) - 1
                 if calls:
                     self._waiting[worker_id] = calls
-        return []
+        return None
 
     def _grant(self, worker_id: str,  # lint: holds(_cond)
-               max_runs: int, now: float) -> list[LeaseGrant]:
-        """Lease the next build-key group, or ``[]`` when nothing is
+               max_runs: int, now: float) -> Optional[_Granted]:
+        """Lease the next build-key group, or ``None`` when nothing is
         pending.  Caller holds the lock."""
         for fleet in self._open_fleets():
             pending = [i for i, slot in enumerate(fleet.slots)
@@ -424,7 +488,7 @@ class FleetBroker:
                 if fleet.slots[index].run.build_key() == key:
                     members.append(index)
             self._last_grant[worker_id] = now
-            grants: list[LeaseGrant] = []
+            lease_ids: list[str] = []
             for index in members:
                 slot = fleet.slots[index]
                 slot.state = LEASED
@@ -432,18 +496,16 @@ class FleetBroker:
                 slot.worker_id = worker_id
                 slot.deadline = now + self.lease_ttl_s
                 lease_id = f"{fleet.fleet_id}:{index}:{slot.attempt}"
-                slot.group = grants[0].lease_id if grants else lease_id
-                grants.append(LeaseGrant(
-                    lease_id=lease_id, fleet_id=fleet.fleet_id,
-                    run=slot.run.to_dict(), ttl_s=self.lease_ttl_s))
+                slot.group = lease_ids[0] if lease_ids else lease_id
+                lease_ids.append(lease_id)
             self._journal({"type": "lease",
                            "fleet_id": fleet.fleet_id,
                            "run_ids": [fleet.slots[i].run.run_id
                                        for i in members],
-                           "lease_ids": [g.lease_id for g in grants],
+                           "lease_ids": lease_ids,
                            "worker_id": worker_id})
-            return grants
-        return []
+            return fleet, members, lease_ids
+        return None
 
     def _fair_share(self, worker_id: str) -> int:  # lint: holds(_cond)
         """How many runs one grant to ``worker_id`` may hold: the

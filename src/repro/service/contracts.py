@@ -187,13 +187,19 @@ class FleetStatus:
 
 @dataclass(frozen=True)
 class LeaseGrant:
-    """``POST /lease`` response: one run checked out to one worker.
+    """One run checked out to one worker, under its own lease id.
 
-    ``run`` is a plain :class:`~repro.fleet.sweep.RunSpec` dict.  The
-    lease expires ``ttl_s`` after grant; a worker that has not posted
-    the run's result by then loses it — the run silently returns to
-    the queue for the next worker, and a late result is still accepted
-    (verified by content) unless someone else finished first.
+    In the single-run ``POST /lease`` answer (no ``max_runs``), the
+    grant is the whole response and ``run`` is a plain
+    :class:`~repro.fleet.sweep.RunSpec` dict.  Inside a
+    :class:`LeaseGroup`, ``run`` is instead a compact
+    :func:`~repro.fleet.sweep.pack_runs` run (``run_id``, ``base``,
+    ``overrides``, ``seed``, ``density``, ``variant``, ``spec_key``)
+    whose ``base`` indexes the group's ``bases``.  The lease expires
+    ``ttl_s`` after grant; a worker that has not posted the run's
+    result by then loses it — the run silently returns to the queue
+    for the next worker, and a late result is still accepted (verified
+    by content) unless someone else finished first.
     """
 
     lease_id: str
@@ -227,6 +233,15 @@ class LeaseGroup:
     than the worker's fair share of the outstanding runs), one
     :class:`LeaseGrant` (and lease id) per run.
 
+    The group is packed: each base spec its runs are patched out of
+    travels once, in ``bases`` (plain ``ScenarioSpec`` dicts), and
+    each grant's ``run`` is the compact run naming its base and
+    overrides — :meth:`packed` is the :func:`~repro.fleet.sweep
+    .pack_runs` payload :func:`~repro.fleet.sweep.unpack_runs` rebuilds
+    (and checks against each run's ``spec_key``).  An answer without
+    ``bases`` carries full ``RunSpec`` dicts, which ``unpack_runs``
+    reads as they are.
+
     Each result posted against one of the grants renews the deadlines
     of the group's runs still leased.  An empty group means no work
     arrived within the request's ``wait_s``; ``draining`` says the
@@ -234,11 +249,18 @@ class LeaseGroup:
     """
 
     grants: tuple[LeaseGrant, ...] = ()
+    bases: tuple[dict[str, Any], ...] = ()
     draining: bool = False
     api: int = API_VERSION
 
+    def packed(self) -> dict[str, Any]:
+        """The group's runs as a ``pack_runs`` payload."""
+        return {"bases": list(self.bases),
+                "runs": [grant.run for grant in self.grants]}
+
     def to_dict(self) -> dict[str, Any]:
         return {"api": self.api,
+                "bases": list(self.bases),
                 "grants": [grant.to_dict() for grant in self.grants],
                 "draining": self.draining}
 
@@ -246,8 +268,12 @@ class LeaseGroup:
     def from_dict(cls, data: Mapping[str, Any]) -> "LeaseGroup":
         _check_api(data, "lease-group")
         _require(data, "lease-group", "grants")
+        bases = data.get("bases") or ()
+        if not all(isinstance(base, Mapping) for base in bases):
+            raise ContractError("lease-group bases must be spec dicts")
         return cls(grants=tuple(LeaseGrant.from_dict(grant)
                                 for grant in data["grants"]),
+                   bases=tuple(dict(base) for base in bases),
                    draining=bool(data.get("draining", False)),
                    api=int(data.get("api", API_VERSION)))
 

@@ -30,10 +30,14 @@ encodings):
                                       ``&wait_s=S`` long-polls for slot N)
 ``GET  /fleets/<id>/records/<run>``   one run record
 ``POST /lease``                       worker checkout: with ``max_runs``
-                                      a LeaseGroup (one build-key group),
-                                      without it one grant or
-                                      ``{"run": null}``; ``wait_s``
-                                      long-polls for work
+                                      a LeaseGroup (one build-key group,
+                                      packed: its base specs once in
+                                      ``bases``, each grant's run the
+                                      compact ``pack_runs`` run), without
+                                      it one grant with a full RunSpec
+                                      dict, as before, or ``{"run":
+                                      null}``; ``wait_s`` long-polls for
+                                      work
 ``POST /results``                     worker return: one
                                       ResultSubmission, answered with a
                                       ResultAck, or a batch ``{"results":
@@ -92,7 +96,7 @@ from ..fleet.compare import compare_paths
 from ..fleet.gc import cache_usage, run_gc
 from ..fleet.sweep import SweepSpec, unpack_runs
 from .broker import BrokerBusy, FleetBroker
-from .contracts import ContractError, Health, LeaseGroup, ResultSubmission
+from .contracts import ContractError, Health, ResultSubmission
 from .journal import FleetJournal
 
 __all__ = ["ReproService"]
@@ -356,10 +360,8 @@ class ReproService:
         max_runs = body["max_runs"]
         if not isinstance(max_runs, int) or max_runs < 1:
             raise _BadRequest("max_runs must be a positive integer")
-        grants = self.broker.lease_group(worker, max_runs=max_runs,
-                                         wait_s=wait_s)
-        return LeaseGroup(grants=tuple(grants),
-                          draining=self.broker.draining()).to_dict()
+        return self.broker.lease_packed(worker, max_runs=max_runs,
+                                        wait_s=wait_s).to_dict()
 
     def long_poll_s(self, value: Any) -> float:
         """A requested long-poll wait, capped at the heartbeat."""

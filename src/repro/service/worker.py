@@ -2,7 +2,10 @@
 
 The worker is a small pull loop against one ``repro serve`` instance:
 lease a build-key group (every pending run of a fleet that shares one
-compiled world, in one round trip), evaluate it through one
+compiled world, in one round trip; packed, each base spec once, and
+rebuilt with :func:`~repro.fleet.sweep.unpack_runs`, which checks every
+run against its ``spec_key`` — a group that fails the check is reported
+failed, run by run, and not evaluated), evaluate it through one
 :class:`~repro.fleet.executors.BatchExecutor` ``map`` — so the runs
 share the compiled world and its per-group block cache, and the
 executor is kept for the whole session — post the records back,
@@ -39,13 +42,13 @@ from __future__ import annotations
 import os
 import time
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 from ..fleet.compiled import COMPILED_DIR, CompiledScenarioCache
 from ..fleet.executors import BatchExecutor
-from ..fleet.sweep import RunSpec
+from ..fleet.sweep import unpack_runs
 from .client import ServiceClient, ServiceError, ServiceUnavailable
-from .contracts import LeaseGrant, ResultSubmission
+from .contracts import LeaseGroup, ResultSubmission
 from .retry import RetryPolicy
 
 __all__ = ["run_worker"]
@@ -154,7 +157,7 @@ def run_worker(server: str, *, worker_id: str = "",
                     sleep(RETRY_PAUSE_S)
                 continue
             idle_since = None
-            posted, lost = _work_group(client, executor, group.grants,
+            posted, lost = _work_group(client, executor, group,
                                        worker_id, say)
             completed += posted
             if lost:
@@ -167,16 +170,16 @@ def run_worker(server: str, *, worker_id: str = "",
 
 
 def _work_group(client: ServiceClient, executor: BatchExecutor,
-                grants: Sequence[LeaseGrant], worker_id: str,
+                group: LeaseGroup, worker_id: str,
                 say: Callable[[str], None]) -> tuple[int, bool]:
     """Evaluate one leased group through one ``map`` and post the
     results: the first alone, the rest batched (see the module doc).
-    Returns how many results landed and whether the server was lost
-    (the unposted rest of the group then simply waits out its
-    leases)."""
-    runs = [RunSpec.from_dict(grant.run) for grant in grants]
-    run_ids = {grant.lease_id: run.run_id
-               for grant, run in zip(grants, runs)}
+    A group whose runs do not rebuild to their ``spec_key`` is not
+    evaluated: each run is posted back as failed.  Returns how many
+    results landed and whether the server was lost (the unposted rest
+    of the group then simply waits out its leases)."""
+    grants = group.grants
+    run_ids = {grant.lease_id: grant.run.get("run_id") for grant in grants}
     # Posting this often keeps the group's leases renewed; the first
     # deadline is one TTL after the grant.
     post_every_s = grants[0].ttl_s / 2.0
@@ -209,6 +212,14 @@ def _work_group(client: ServiceClient, executor: BatchExecutor,
                     f"{submission.wall_s:.2f} s ({state})")
         return True
 
+    try:
+        runs = unpack_runs(group.packed())
+    except (KeyError, TypeError, ValueError) as exc:
+        say(f"{worker_id}: leased group does not unpack: {exc}")
+        held.extend(ResultSubmission(
+            lease_id=grant.lease_id,
+            error=f"{type(exc).__name__}: {exc}") for grant in grants)
+        return posted, not post()
     outcomes = executor.map(runs)
     for index, (grant, run) in enumerate(zip(grants, runs)):
         try:

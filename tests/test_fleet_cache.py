@@ -20,6 +20,7 @@ from repro.fleet import (
     run_sweep,
 )
 from repro.fleet.cache import canonical_dumps
+from repro.fleet.sweep import RunRecord
 from repro.scenarios import klagenfurt, skopje
 
 AXIS = "campaign.handover_interruption_s"
@@ -218,6 +219,28 @@ def test_resume_runs_only_the_missing_records(tmp_path, eval_counter):
     # the directory is whole again
     assert store.missing_runs() == ()
     assert store.read_manifest()["complete"] is True
+
+
+def test_resume_parses_each_record_once(tmp_path, monkeypatch):
+    """A resume reads every record file on disk once: the reused
+    records are the ones it checked, not a second read of them."""
+    sweep = small_sweep(seeds=(42, 43))
+    out = tmp_path / "fleet"
+    complete = run_sweep(sweep, out=out)
+    (out / "runs" / f"{complete.records[1].run_id}.json").unlink()
+    parses = []
+    from_json = RunRecord.from_json.__func__
+
+    def counting_from_json(cls, text):
+        parses.append(1)
+        return from_json(cls, text)
+    monkeypatch.setattr(RunRecord, "from_json",
+                        classmethod(counting_from_json))
+    resumed = FleetStore(out).resume()
+    assert len(parses) == len(complete) - 1
+    assert resumed.cached_count == len(complete) - 1
+    assert [r.to_dict() for r in resumed.records] == \
+        [r.to_dict() for r in complete.records]
 
 
 def test_interrupted_sweep_leaves_a_resumable_directory(tmp_path):

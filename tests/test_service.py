@@ -469,10 +469,10 @@ def test_group_worker_dying_requeues_only_its_unposted_runs(
     assert broker.expire_leases() == 0
     clock.advance(4.5)   # 10.5 s after the post: past the 10 s TTL
     assert broker.expire_leases() == 3
-    finisher = broker.lease_group("finisher", max_runs=8)
+    group = broker.lease_packed("finisher", max_runs=8)
+    finisher = group.grants
     assert _run_ids(finisher) == [run.run_id for run in runs[1:]]
-    evaluated = BatchExecutor().map(
-        [RunSpec.from_dict(grant.run) for grant in finisher])
+    evaluated = BatchExecutor().map(unpack_runs(group.packed()))
     for grant, outcome in zip(finisher, evaluated):
         assert _post(broker, grant, outcome.record).accepted
     status = broker.status(ack.fleet_id)
@@ -957,6 +957,99 @@ def test_worker_death_requeues_and_stays_bit_identical(
         assert len(list((fleet_dir / "runs").glob("*.json"))) == 2
     finally:
         service.stop()
+
+
+# ---------------------------------------------------------------------------
+# Packed lease groups: each base spec once, runs as overrides of it
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def sixteen_sweep():
+    """16 sampling variants of one city: one build key, one base."""
+    return small_sweep(axes=(SweepAxis(
+        AXIS, tuple(0.02 + 0.005 * index for index in range(16))),))
+
+
+@pytest.mark.parametrize("submitted_as", ["run list", "sweep"])
+def test_a_group_lease_carries_its_base_once(broker, sixteen_sweep,
+                                             submitted_as):
+    runs = sixteen_sweep.expand()
+    if submitted_as == "sweep":
+        broker.submit_sweep(sixteen_sweep)
+    else:
+        broker.submit_runs(runs, packed=json.loads(json.dumps(
+            pack_runs(runs))))
+    group = LeaseGroup.from_dict(json.loads(json.dumps(
+        broker.lease_packed("w1", max_runs=256).to_dict())))
+    assert len(group.grants) == 16
+    assert len(group.bases) == 1
+    assert not any("scenario" in grant.run for grant in group.grants)
+    rebuilt = unpack_runs(group.packed())
+    assert rebuilt == list(runs)
+    assert [run.spec_key() for run in rebuilt] == \
+        [run.spec_key() for run in runs]
+
+
+def test_the_single_run_lease_still_carries_a_full_run_spec(
+        broker, sixteen_sweep):
+    runs = sixteen_sweep.expand()
+    broker.submit_runs(runs)
+    grant = broker.lease("w1")
+    assert RunSpec.from_dict(grant.run) == runs[0]
+
+
+def test_the_worker_rebuilds_the_submitted_runs(tmp_path, monkeypatch,
+                                                sixteen_sweep):
+    """The runs a worker evaluates are the submitted ``RunSpec``\\ s,
+    rebuilt from the packed group with equal ``spec_key``\\ s."""
+    runs = sixteen_sweep.expand()
+    evaluated = []
+    real_map = BatchExecutor.map
+
+    def spy(self, batch):
+        batch = list(batch)
+        evaluated.extend(batch)
+        return real_map(self, batch)
+    monkeypatch.setattr(BatchExecutor, "map", spy)
+    service = ReproService(tmp_path / "root", port=0)
+    service.start()
+    try:
+        client = ServiceClient(service.url)
+        ack = client.submit_runs(pack_runs(runs))
+        assert run_worker(service.url, poll_s=0.05, max_idle_s=0.2) == 16
+        assert client.status(ack.fleet_id).complete
+    finally:
+        service.stop()
+    assert evaluated == list(runs)
+    assert [run.spec_key() for run in evaluated] == \
+        [run.spec_key() for run in runs]
+
+
+def test_a_group_that_fails_its_spec_keys_is_failed_not_evaluated(
+        tmp_path, monkeypatch, sixteen_sweep):
+    runs = sixteen_sweep.expand()[:4]
+    tampered = pack_runs(runs)
+    tampered["runs"][2]["spec_key"] = "0" * 64
+    batches = _post_spy(monkeypatch)
+    service = ReproService(tmp_path / "root", port=0)
+    service.start()
+    try:
+        ack = service.broker.submit_runs(runs, packed=tampered)
+        client = ServiceClient(service.url)
+        group = client.lease_group("w1", max_runs=8)
+
+        class NeverEvaluates:
+            def map(self, batch):
+                raise AssertionError("a group failing its keys was run")
+        assert worker_module._work_group(client, NeverEvaluates(), group,
+                                         "w1", lambda message: None) \
+            == (0, False)
+        status = client.status(ack.fleet_id)
+        assert status.done == status.leased == 0
+        assert status.pending == 4        # every run back in the queue
+    finally:
+        service.stop()
+    assert batches == [["error"] * 4]
 
 
 # ---------------------------------------------------------------------------
