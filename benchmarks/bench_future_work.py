@@ -1,27 +1,13 @@
-"""Section VI outlook — the future-work studies as benches.
+"""Section VI outlook — the 6G upgrade study as a bench.
 
-Not figures of the paper, but the validations its conclusion promises:
-
-* the full campaign re-run over upgrade arms — only **6G + edge
-  breakout** brings every cell under the 20 ms AR budget and undercuts
-  the wired baseline ("competitiveness with wired networks");
-* federated learning at the edge — the bottleneck shifts from network
-  (5G: >70 % of round time) to compute (6G edge: <20 %);
-* intelligent slicing — a predictive scaler breaches the latency-safe
-  utilisation bound less often than a reactive one on diurnal load;
-* energy-efficient management — the 6G site model cuts fleet energy
-  while *reducing* the sleep latency penalty.
+Not a figure of the paper, but the validation its conclusion promises:
+the full campaign re-run over upgrade arms — only **6G + edge
+breakout** brings every cell under the 20 ms AR budget and undercuts
+the wired baseline ("competitiveness with wired networks").
 """
 
-import pytest
-
 from repro import units
-from repro.core import (
-    FederatedEdgeStudy,
-    PredictiveSlicingStudy,
-    SixGUpgradeStudy,
-)
-from repro.ran import EnergyModel, SitePowerModel
+from repro.core import SixGUpgradeStudy
 
 
 def test_6g_upgrade_arms(benchmark):
@@ -45,52 +31,3 @@ def test_6g_upgrade_arms(benchmark):
             report) else "misses 20 ms"
         print(f"  {name}: {units.to_ms(report.mobile_mean_s):.1f} ms "
               f"({meets})")
-
-
-def test_federated_learning_deployments(benchmark):
-    study = FederatedEdgeStudy()
-    results = benchmark(study.compare)
-
-    assert results["5G + cloud aggregation"]["network_share"] > 0.7
-    assert results["6G + edge aggregation"]["network_share"] < 0.2
-
-    print("\nfederated round times:")
-    for name, metrics in results.items():
-        print(f"  {name}: {metrics['round_time_s']:.1f} s/round, "
-              f"{metrics['rounds_per_hour']:.0f}/h, "
-              f"network share {100 * metrics['network_share']:.0f}%")
-
-
-def test_predictive_slicing(benchmark):
-    study = PredictiveSlicingStudy()
-    trace = study.diurnal_demand(units.gbps(6.0))
-
-    breaches = benchmark(study.run, trace)
-    assert breaches["predictive"] < breaches["reactive"]
-    print(f"\nslice-bound breaches over one day: "
-          f"reactive {breaches['reactive']}, "
-          f"predictive {breaches['predictive']}")
-
-
-def test_energy_efficiency(benchmark):
-    def fleet_comparison():
-        out = {}
-        for name, site in (("5G", SitePowerModel.macro_5g()),
-                           ("6G", SitePowerModel.macro_6g())):
-            model = EnergyModel(site, n_sites=6)
-            out[name] = {
-                "daily_kwh": model.daily_energy_kwh(),
-                "sleep_saving": model.sleep_saving_fraction(),
-                "wake_penalty_s": site.wakeup_s,
-            }
-        return out
-
-    results = benchmark(fleet_comparison)
-    assert results["6G"]["daily_kwh"] < 0.75 * results["5G"]["daily_kwh"]
-    assert results["6G"]["wake_penalty_s"] < \
-        results["5G"]["wake_penalty_s"] / 10.0
-    print("\nfleet energy (6 macro sites, diurnal urban profile):")
-    for name, metrics in results.items():
-        print(f"  {name}: {metrics['daily_kwh']:.0f} kWh/day, "
-              f"sleep saves {100 * metrics['sleep_saving']:.0f}%, "
-              f"wake penalty {metrics['wake_penalty_s'] * 1e3:.0f} ms")

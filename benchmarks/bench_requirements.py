@@ -4,7 +4,6 @@ Paper claims reproduced:
 
 * AR needs motion-to-photon below 20 ms; 60 FPS video implies a
   16.6 ms frame interval;
-* IoT messaging protocols add **5-8 ms**;
 * 6G targets: 100 us air latency (10x below 5G's 1 ms), 1 Tbps,
   ~10^6 devices/km^2;
 * the portfolio verdict: 5G fails remote surgery and massive IoT;
@@ -17,12 +16,7 @@ generations.
 import pytest
 
 from repro import units
-from repro.apps import (
-    VideoStreamConfig,
-    all_profiles,
-    ar_gaming,
-    overhead_band_s,
-)
+from repro.apps import VideoStreamConfig, all_profiles, ar_gaming
 from repro.core import (
     FIVE_G_CAPABILITY,
     SIX_G_CAPABILITY,
@@ -54,14 +48,6 @@ def test_requirements_portfolio(benchmark):
 def test_frame_interval_16_6ms():
     assert VideoStreamConfig(fps=60.0).frame_interval_s == pytest.approx(
         units.ms(16.6), rel=0.01)
-
-
-def test_iot_protocol_overhead_band():
-    lo, hi = overhead_band_s()
-    assert lo == pytest.approx(units.ms(5.0))
-    assert hi == pytest.approx(units.ms(8.0))
-    print(f"\nIoT protocol overhead: {units.to_ms(lo):.1f}-"
-          f"{units.to_ms(hi):.1f} ms (paper: 5-8 ms)")
 
 
 def test_6g_capability_targets():

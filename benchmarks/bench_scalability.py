@@ -1,73 +1,12 @@
-"""Sections II-C / III-C — scalability: device density 5G vs 6G.
+"""Sections II-C / III-C — scalability: the smart-city aggregate.
 
-Paper claims reproduced:
-
-* 6G supports on the order of 10x the device density of 5G (hundreds
-  of thousands of devices per km^2 and beyond);
-* the smart-city aggregate (50,000 intersections) does not fit 5G's
-  peak rate but fits 6G's terabit capacity;
-* latency degrades with density: the same population loads a 5G cell
-  into the queueing knee long before a 6G cell.
-
-Timed work: the capacity search (max supported users) for both
-generations.
+Paper claim reproduced: the smart-city aggregate (50,000
+intersections) does not fit 5G's peak rate but fits 6G's terabit
+capacity.
 """
 
-import pytest
-
-from repro import units
 from repro.apps import SmartCityDeployment
 from repro.core import FIVE_G_CAPABILITY, SIX_G_CAPABILITY
-from repro.ran import AirInterface, CellLoadModel, ChannelModel, RadioConfig
-
-PER_DEVICE_BPS = units.RATE_KBPS * 50.0
-
-
-def make_model(generation: str):
-    if generation == "5G":
-        cfg = RadioConfig.nr_5g()
-        channel = ChannelModel(cfg.carrier_frequency_hz,
-                               antenna_gain_db=25.0, bandwidth_hz=100e6)
-    else:
-        cfg = RadioConfig.nr_6g()
-        channel = ChannelModel(cfg.carrier_frequency_hz,
-                               antenna_gain_db=25.0, bandwidth_hz=2e9)
-    return cfg, channel, CellLoadModel(channel)
-
-
-def test_density_capacity_5g_vs_6g(benchmark):
-    def capacities():
-        out = {}
-        for gen in ("5G", "6G"):
-            _, _, model = make_model(gen)
-            out[gen] = model.max_supported_users(PER_DEVICE_BPS)
-        return out
-
-    caps = benchmark(capacities)
-    # 6G sustains an order of magnitude more devices.
-    assert caps["6G"] / caps["5G"] > 8.0
-    assert caps["6G"] > 100_000      # "hundreds of thousands per km^2"
-    print(f"\nmax devices per cell at 50 kbps each: "
-          f"5G {caps['5G']:,} vs 6G {caps['6G']:,} "
-          f"({caps['6G'] / caps['5G']:.0f}x)")
-
-
-def test_latency_degrades_with_density():
-    rows = []
-    for gen in ("5G", "6G"):
-        cfg, channel, model = make_model(gen)
-        air = AirInterface(cfg, channel)
-        for devices in (10_000, 50_000, 200_000):
-            rho = model.utilisation(devices, PER_DEVICE_BPS)
-            rtt = air.mean_rtt(load=min(rho, 0.92), sinr_db=15.0)
-            rows.append((gen, devices, rho, rtt))
-    by_gen = {}
-    for gen, devices, rho, rtt in rows:
-        by_gen.setdefault(gen, []).append(rtt)
-    # Latency grows with density for 5G; 6G stays flat in this range.
-    assert by_gen["5G"][0] < by_gen["5G"][-1]
-    assert by_gen["6G"][-1] < units.ms(0.5)
-    assert by_gen["5G"][-1] > 10 * by_gen["6G"][-1]
 
 
 def test_smart_city_fits_6g_not_5g():

@@ -8,15 +8,26 @@ Paper claims reproduced:
   the regional core;
 * placement ordering: edge < regional core < central cloud;
 * dynamic UPF selection keeps latency-critical flows at the edge and
-  offloads bulk to the cloud.
+  offloads bulk to the cloud;
+* rule-table growth hurts linear-scan lookup, not the cached path.
 
-Timed work: the three-tier placement comparison.
+Timed work: the three-tier placement comparison and per-packet
+processing through the host data plane.
 """
 
 import pytest
 
 from repro import units
+from repro.cn import UserPlaneFunction
 from repro.core import DynamicUpfSelector, UpfPlacementStudy
+from repro.geo import VIENNA
+from repro.sim import RngRegistry
+
+
+@pytest.fixture
+def host_upf():
+    return UserPlaneFunction(name="upf-host", location=VIENNA,
+                             rule_count=30_000, load=0.4)
 
 
 def test_upf_placement_tiers(benchmark):
@@ -52,3 +63,17 @@ def test_dynamic_upf_selection(benchmark):
     anchored = benchmark(run_selection)
     assert anchored["edge"] == 30          # every AR flow at the edge
     assert anchored["central-cloud"] == 70  # all bulk offloaded
+
+
+def test_host_path_packet_processing(benchmark, host_upf):
+    rng = RngRegistry(3).stream("nic.host")
+    latency = benchmark(host_upf.sample_latency_s, rng)
+    assert latency > 0
+
+
+def test_rule_count_sensitivity(host_upf):
+    """Linear-scan lookup suffers with table growth; the cached path
+    does not."""
+    small, big = host_upf.with_rules(1_000), host_upf.with_rules(100_000)
+    assert big.lookup_s() > 50 * small.lookup_s()
+    assert big.lookup_s(cached=True) == small.lookup_s(cached=True)

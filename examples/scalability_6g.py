@@ -1,10 +1,9 @@
 #!/usr/bin/env python
-"""Scalability analysis (Sections II-C / III-C): 5G vs 6G density.
+"""Scalability analysis (Sections II-C / III-C): 5G vs 6G.
 
-Sweeps the active-device population of one cell and reports scheduler
-utilisation and air-interface latency under 5G and 6G configurations,
-plus the requirements verdicts for the paper's application portfolio
-and the smart-city / smart-factory aggregate arithmetic.
+Reports the requirements verdicts for the paper's application
+portfolio under 5G and 6G, and the smart-city / smart-factory
+aggregate arithmetic.
 
 Run:  python examples/scalability_6g.py
 """
@@ -17,36 +16,6 @@ from repro.core import (
     RequirementsAnalysis,
     render_comparison_table,
 )
-from repro.ran import AirInterface, CellLoadModel, ChannelModel, RadioConfig
-
-
-def density_sweep() -> None:
-    rows = []
-    per_device = units.RATE_KBPS * 50.0     # massive-IoT duty cycle
-    for name, cfg, bandwidth in (
-            ("5G", RadioConfig.nr_5g(), 100e6),
-            ("6G", RadioConfig.nr_6g(), 2e9)):
-        channel = ChannelModel(cfg.carrier_frequency_hz,
-                               antenna_gain_db=25.0,
-                               bandwidth_hz=bandwidth)
-        model = CellLoadModel(channel)
-        air = AirInterface(cfg, channel)
-        for devices in (10_000, 100_000, 1_000_000):
-            rho = model.utilisation(devices, per_device)
-            latency = air.mean_rtt(load=min(rho, 0.92), sinr_db=15.0) \
-                if rho < 0.99 else float("inf")
-            rows.append([name, devices, rho,
-                         units.to_ms(latency) if latency != float("inf")
-                         else float("nan")])
-    print(render_comparison_table(
-        ["generation", "devices/km^2", "utilisation", "air RTT (ms)"],
-        rows, title="Device-density sweep (50 kbps per device)"))
-    print()
-    for name, model_bw in (("5G", 100e6), ("6G", 2e9)):
-        channel = ChannelModel(3.5e9 if name == "5G" else 140e9,
-                               antenna_gain_db=25.0, bandwidth_hz=model_bw)
-        cap = CellLoadModel(channel).max_supported_users(per_device)
-        print(f"{name}: max devices/km^2 at 90% utilisation: {cap:,}")
 
 
 def requirements_matrix() -> None:
@@ -61,7 +30,6 @@ def requirements_matrix() -> None:
                 "ok" if verdict.density_ok else "FAIL",
                 verdict.latency_headroom,
             ])
-    print()
     print(render_comparison_table(
         ["gen", "application", "latency", "bandwidth", "density",
          "headroom"],
@@ -82,7 +50,6 @@ def aggregates() -> None:
 
 
 def main() -> None:
-    density_sweep()
     requirements_matrix()
     aggregates()
 

@@ -1,16 +1,14 @@
 #!/usr/bin/env python
-"""UPF integration study (Section V-B): placement tiers + SmartNIC.
+"""UPF integration study (Section V-B): placement tiers.
 
 Compares the service RTT through edge / regional-core / central-cloud
-UPF deployments under the URLLC radio profile, demonstrates dynamic UPF
-selection over a mixed flow population, and applies the SmartNIC
-offload factors of [32]/[33] to the data plane.
+UPF deployments under the URLLC radio profile, and demonstrates dynamic
+UPF selection over a mixed flow population.
 
 Run:  python examples/upf_placement_study.py
 """
 
 from repro import units
-from repro.cn import offload
 from repro.core import (
     DynamicUpfSelector,
     UpfPlacementStudy,
@@ -48,28 +46,10 @@ def dynamic_selection(study: UpfPlacementStudy) -> None:
     print(f"  cloud-anchored: {anchored['central-cloud']}")
 
 
-def smartnic(study: UpfPlacementStudy) -> None:
-    host = study.deployments()[0].upf.with_load(0.4)
-    nic = offload(host)
-    host_lat = host.lookup_s() + host.pipeline_s
-    nic_lat = nic.lookup_s() + nic.pipeline_s
-    print("\nSmartNIC offload of the edge UPF (Jain et al. [32], [33]):")
-    print(render_comparison_table(
-        ["data plane", "throughput (Gbps)", "processing (us)",
-         "mean in-UPF latency (us)"],
-        [["host (kernel/PCIe)", host.throughput_bps / 1e9,
-          host_lat * 1e6, host.mean_latency_s() * 1e6],
-         ["SmartNIC-offloaded", nic.throughput_bps / 1e9,
-          nic_lat * 1e6, nic.mean_latency_s() * 1e6]]))
-    print(f"  throughput gain: {nic.throughput_bps / host.throughput_bps:.2f}x"
-          f"  |  processing latency factor: {host_lat / nic_lat:.2f}x")
-
-
 def main() -> None:
     study = UpfPlacementStudy()
     placement_table(study)
     dynamic_selection(study)
-    smartnic(study)
 
 
 if __name__ == "__main__":

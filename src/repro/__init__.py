@@ -7,9 +7,9 @@ Subpackages:
 * :mod:`repro.geo` — coordinates, grid segmentation, population, mobility
 * :mod:`repro.net` — internet substrate with Gao-Rexford policy routing
 * :mod:`repro.ran` — 5G/6G radio access network
-* :mod:`repro.cn` — 5G/6G core network (UPF, QoS, slicing, O-RAN hooks)
+* :mod:`repro.cn` — 5G/6G core network (UPF, QoS, control-plane procedures)
 * :mod:`repro.probes` — measurement framework (drive-test campaign)
-* :mod:`repro.apps` — application workloads (AR game, IoT, domains)
+* :mod:`repro.apps` — application workloads (AR game, video, domain profiles)
 * :mod:`repro.scenarios` — declarative scenario specs + the compiler
 * :mod:`repro.core` — the paper's analysis: evaluation, remedies, studies
 

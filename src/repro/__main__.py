@@ -160,7 +160,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                         make_executor, print_progress, run_sweep)
 
     backend = args.backend
+    errors: tuple[type[Exception], ...] = (KeyError, OSError, TypeError,
+                                           ValueError)
     if backend == "remote":
+        from .service import ServiceError, ServiceUnavailable
+
         # The one backend with connection state: build it here so the
         # URL travels with it (run_sweep only threads jobs through).
         if not args.server:
@@ -169,6 +173,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             return 2
         backend = make_executor("remote", jobs=args.jobs,
                                 server=args.server)
+        errors += (ServiceError, ServiceUnavailable)
     cache = args.cache or None
     progress_fn = print_progress if args.progress else None
     try:
@@ -209,7 +214,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             result = run_sweep(sweep, jobs=args.jobs, executor=backend,
                                cache=cache, out=args.out or None,
                                progress=progress_fn)
-    except (KeyError, OSError, TypeError, ValueError) as exc:
+    except errors as exc:
         _print_error(exc)
         return 2
     print()
@@ -300,6 +305,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .service import ReproService
 
     root = args.state or args.root
+    if not 0 <= args.port <= 65535:
+        print(f"error: --port must be in 0..65535, got {args.port}",
+              file=sys.stderr)
+        return 2
     try:
         max_bytes = _parse_bytes(args.max_bytes) \
             if args.max_bytes else None

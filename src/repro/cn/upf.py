@@ -8,10 +8,7 @@ applies QoS enforcement (QER) and forwards (FAR).  Latency model:
   (Jain et al. [32]) short-circuits for hot flows;
 * **pipeline cost** — fixed per-packet processing (GTP encap/decap,
   counters);
-* **queueing** — M/M/1 at the configured utilisation;
-* the host path (kernel/PCIe) versus SmartNIC offload distinction lives
-  in :mod:`repro.cn.smartnic`, which rescales this model by the
-  published factors (2x throughput, 3.75x latency).
+* **queueing** — M/M/1 at the configured utilisation.
 
 Placement (:class:`~repro.cn.nf.SiteTier`) determines how far the N3/N6
 legs stretch — the actual subject of the UPF-integration experiment.
@@ -37,9 +34,8 @@ class UserPlaneFunction:
     """An immutable UPF deployment descriptor.
 
     Immutability keeps what-if studies honest: every variant (moved to
-    the edge, SmartNIC-offloaded, more rules) is a *new* object created
-    via :meth:`at_site`, :meth:`with_rules` or
-    :func:`repro.cn.smartnic.offload`, so experiment arms can never
+    the edge, more rules) is a *new* object created via
+    :meth:`at_site` or :meth:`with_rules`, so experiment arms can never
     contaminate each other through shared state.
     """
 
@@ -56,8 +52,6 @@ class UserPlaneFunction:
     throughput_bps: float = units.gbps(40.0)
     #: data-plane utilisation in [0, 1)
     load: float = 0.0
-    #: True once SmartNIC-offloaded (set by repro.cn.smartnic.offload)
-    smartnic: bool = False
     tags: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:

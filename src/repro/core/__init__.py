@@ -9,14 +9,12 @@ __all__ = [
     "CpfComparison", "CpfEnhancementStudy", "QosCacheStudy",
     "EvaluationResult", "EvaluationSummary", "InfrastructureEvaluation",
     "GapAnalysis", "GapReport",
-    "SixGUpgradeStudy", "UpgradeArm", "FederatedEdgeStudy",
-    "PredictiveSlicingStudy",
+    "SixGUpgradeStudy", "UpgradeArm",
     "LocalPeeringExperiment", "PeeringOutcome",
     "render_comparison_table", "render_grid_heatmap",
     "FIVE_G_CAPABILITY", "SIX_G_CAPABILITY", "GenerationCapability",
     "RequirementsAnalysis", "RequirementVerdict",
     "KnobResult", "SensitivityAnalysis",
-    "HypervisorPlacementStudy", "SlicingOutcome", "SlicingStudy",
     "DynamicUpfSelector", "UpfDeployment", "UpfPlacementStudy",
 ]
 
@@ -25,8 +23,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                       "QosCacheStudy"),
     ".evaluation": ("EvaluationResult", "EvaluationSummary",
                     "InfrastructureEvaluation"),
-    ".future": ("FederatedEdgeStudy", "PredictiveSlicingStudy",
-                "SixGUpgradeStudy", "UpgradeArm"),
+    ".future": ("SixGUpgradeStudy", "UpgradeArm"),
     ".gap": ("GapAnalysis", "GapReport"),
     ".peering": ("LocalPeeringExperiment", "PeeringOutcome"),
     ".report": ("render_comparison_table", "render_grid_heatmap"),
@@ -34,8 +31,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                       "GenerationCapability", "RequirementsAnalysis",
                       "RequirementVerdict"),
     ".sensitivity": ("KnobResult", "SensitivityAnalysis"),
-    ".slicing_strategy": ("HypervisorPlacementStudy", "SlicingOutcome",
-                          "SlicingStudy"),
     ".upf_strategy": ("DynamicUpfSelector", "UpfDeployment",
                       "UpfPlacementStudy"),
 })

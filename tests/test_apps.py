@@ -10,8 +10,6 @@ from repro.apps import (
     ApplicationProfile,
     FactoryLine,
     FrameCycleAnalysis,
-    IotProtocol,
-    PROTOCOLS,
     Service,
     ServiceChain,
     SmartCityDeployment,
@@ -20,7 +18,6 @@ from repro.apps import (
     ar_gaming,
     ar_service_chain,
     autonomous_vehicle,
-    overhead_band_s,
     remote_surgery,
     smart_factory,
 )
@@ -180,44 +177,6 @@ def test_game_validation():
     with pytest.raises(ValueError):
         session.play_round(np.array([0.01]), RngRegistry(1).stream("g"),
                            throws=0)
-
-
-# ---------------------------------------------------------------------------
-# IoT protocols
-# ---------------------------------------------------------------------------
-
-def test_protocol_overhead_band_is_5_to_8_ms():
-    """Section III-A: IoT protocols add 5-8 ms."""
-    lo, hi = overhead_band_s()
-    assert lo == pytest.approx(units.ms(5.0))
-    assert hi == pytest.approx(units.ms(8.0))
-
-
-def test_protocol_delivery_latency():
-    mqtt = PROTOCOLS[IotProtocol.MQTT]
-    # broker path: 2 legs of 2 ms + 5 ms overhead
-    assert mqtt.delivery_latency_s(2e-3) == pytest.approx(9e-3)
-    coap = PROTOCOLS[IotProtocol.COAP]
-    assert coap.delivery_latency_s(2e-3) < mqtt.delivery_latency_s(2e-3)
-
-
-def test_protocol_qos_increases_latency():
-    mqtt = PROTOCOLS[IotProtocol.MQTT]
-    assert mqtt.delivery_latency_s(2e-3, qos=1) > \
-        mqtt.delivery_latency_s(2e-3, qos=0)
-    with pytest.raises(ValueError):
-        mqtt.overhead_s(qos=-1)
-    with pytest.raises(ValueError):
-        mqtt.delivery_latency_s(-1e-3)
-
-
-def test_user_perceived_budget_with_protocol_overhead():
-    """Sec. III-A arithmetic: to keep user-perceived latency below
-    16 ms with 5-8 ms protocol overhead, the network leg must go well
-    below 10 ms — 6G territory."""
-    lo, hi = overhead_band_s()
-    network_budget = units.ms(16.0) - hi
-    assert network_budget <= units.ms(8.0)
 
 
 # ---------------------------------------------------------------------------

@@ -165,3 +165,28 @@ def test_cli_klagenfurt_only_studies_reject_a_world(capsys, command,
 def test_cli_rejects_unknown_command():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_cli_sweep_remote_reports_an_unreachable_server(monkeypatch,
+                                                        capsys):
+    from repro.fleet.executors import RemoteExecutor
+    from repro.service.retry import RetryPolicy
+
+    # One attempt, so the test does not wait out the backoff.
+    monkeypatch.setitem(RemoteExecutor.__init__.__kwdefaults__, "retry",
+                        RetryPolicy.none())
+    assert main(["sweep", "--backend", "remote", "--density", "2",
+                 "--server", "http://127.0.0.1:1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "127.0.0.1:1" in err
+
+
+@pytest.mark.parametrize("port", ["99999", "-1"])
+def test_cli_serve_rejects_a_port_out_of_range(tmp_path, capsys, port):
+    assert main(["serve", "--root", str(tmp_path / "svc"),
+                 "--port", port]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --port must be in 0..65535, "
+                            f"got {port}\n")

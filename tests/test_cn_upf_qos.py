@@ -1,4 +1,4 @@
-"""Tests for the UPF pipeline, SmartNIC offload and QoS machinery."""
+"""Tests for the UPF pipeline and the QoS machinery."""
 
 import pytest
 
@@ -10,9 +10,7 @@ from repro.cn import (
     QosFlow,
     SiteTier,
     UserPlaneFunction,
-    offload,
 )
-from repro.cn.smartnic import LATENCY_FACTOR, THROUGHPUT_GAIN
 from repro.geo import KLAGENFURT, VIENNA
 from repro.sim import RngRegistry
 
@@ -69,41 +67,6 @@ def test_upf_validation():
         UserPlaneFunction(name="x", location=VIENNA, throughput_bps=0.0)
     with pytest.raises(ValueError):
         UserPlaneFunction(name="x", location=VIENNA, rule_count=-1)
-
-
-# ---------------------------------------------------------------------------
-# SmartNIC offload (the 2x / 3.75x claims)
-# ---------------------------------------------------------------------------
-
-def test_offload_applies_published_factors(upf):
-    nic = offload(upf)
-    assert nic.smartnic
-    assert nic.throughput_bps == pytest.approx(
-        upf.throughput_bps * THROUGHPUT_GAIN)
-    assert nic.pipeline_s == pytest.approx(upf.pipeline_s / LATENCY_FACTOR)
-    assert nic.rule_scan_s == pytest.approx(upf.rule_scan_s / LATENCY_FACTOR)
-    assert nic.load == pytest.approx(upf.load / THROUGHPUT_GAIN)
-
-
-def test_offload_latency_ratio_close_to_published(upf):
-    """Processing latency (lookup+pipeline, net of serialisation) drops
-    by ~3.75x."""
-    nic = offload(upf.with_load(0.0))
-    host = upf.with_load(0.0)
-    host_proc = host.lookup_s() + host.pipeline_s
-    nic_proc = nic.lookup_s() + nic.pipeline_s
-    assert host_proc / nic_proc == pytest.approx(LATENCY_FACTOR, rel=1e-6)
-
-
-def test_double_offload_rejected(upf):
-    nic = offload(upf)
-    with pytest.raises(ValueError):
-        offload(nic)
-
-
-def test_offload_factor_validation(upf):
-    with pytest.raises(ValueError):
-        offload(upf, throughput_gain=0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -251,3 +251,26 @@ def test_gap_analysis_validation(evaluation):
 def test_evaluation_validation():
     with pytest.raises(ValueError):
         InfrastructureEvaluation(mean_positions_per_cell=0.0)
+
+
+def test_save_artifacts_round_trip(tmp_path):
+    result = InfrastructureEvaluation(
+        seed=42, mean_positions_per_cell=2.0).run()
+    paths = result.save_artifacts(tmp_path / "artifacts")
+    expected = {"figure2.txt", "figure3.txt", "table1.txt",
+                "gap_summary.txt", "campaign.csv", "wired_baseline.csv"}
+    assert set(paths) == expected
+    # every returned path points at the file actually written
+    from pathlib import Path
+    for name, path in paths.items():
+        assert Path(path) == tmp_path / "artifacts" / name
+        assert Path(path).is_file() and Path(path).stat().st_size > 0
+    fig2 = (tmp_path / "artifacts" / "figure2.txt").read_text()
+    assert "Urban Mean Round-trip Time Latency" in fig2
+    gap = (tmp_path / "artifacts" / "gap_summary.txt").read_text()
+    assert "fig4 detour" in gap
+    # the CSV reloads into an identical-size dataset
+    from repro.probes import MeasurementDataset
+    loaded = MeasurementDataset.load_csv(tmp_path / "artifacts"
+                                         / "campaign.csv")
+    assert len(loaded) == len(result.dataset)

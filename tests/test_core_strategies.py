@@ -1,4 +1,4 @@
-"""Tests for the Section V remedies: peering, UPF, CPF, slicing."""
+"""Tests for the Section V remedies: peering, UPF, CPF."""
 
 import numpy as np
 import pytest
@@ -8,18 +8,15 @@ from repro.core import (
     CpfEnhancementStudy,
     DynamicUpfSelector,
     FIVE_G_CAPABILITY,
-    HypervisorPlacementStudy,
     LocalPeeringExperiment,
     QosCacheStudy,
     RequirementsAnalysis,
     SIX_G_CAPABILITY,
-    SlicingStudy,
     UpfPlacementStudy,
     render_comparison_table,
 )
 from repro.scenarios import build, klagenfurt
 from repro.apps import all_profiles
-from repro.cn import PlacementObjective
 from repro.sim import RngRegistry
 
 
@@ -191,43 +188,6 @@ def test_qos_cache_reduces_lookup_latency():
 def test_qos_cache_validation():
     with pytest.raises(ValueError):
         QosCacheStudy().run(critical_flows=0)
-
-
-# ---------------------------------------------------------------------------
-# Slicing + hypervisor placement (Section V-C)
-# ---------------------------------------------------------------------------
-
-def test_slicing_protects_urllc_under_pressure():
-    outcome = SlicingStudy().run()
-    assert outcome.isolated_wait_s < outcome.shared_wait_s
-    assert outcome.improvement_factor > 2.0
-
-
-def test_slicing_sweep_shows_crossover():
-    study = SlicingStudy()
-    sweep = study.sweep_embb_load(
-        [units.gbps(1.0), units.gbps(4.0), units.gbps(7.6)])
-    # At light eMBB load isolation is a net cost; under pressure it wins.
-    assert sweep[0][1].improvement_factor < 1.0
-    assert sweep[-1][1].improvement_factor > 1.0
-
-
-def test_hypervisor_objectives_tradeoff():
-    study = HypervisorPlacementStudy()
-    results = study.compare(k=3)
-    latency = results[PlacementObjective.LATENCY.value]
-    resilience = results[PlacementObjective.RESILIENCE.value]
-    balance = results[PlacementObjective.LOAD_BALANCE.value]
-    assert resilience.worst_backup_latency_s <= \
-        latency.worst_backup_latency_s + 1e-12
-    assert balance.max_tenants_per_site <= latency.max_tenants_per_site
-
-
-def test_hypervisor_latency_improves_with_k():
-    study = HypervisorPlacementStudy()
-    curve = study.latency_vs_k([1, 2, 3, 4])
-    values = [v for _, v in curve]
-    assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_comparison_table_renders():

@@ -143,23 +143,3 @@ def test_cgnat_overload_melts_latency(scenario):
     after = np.mean([campaign.sample_rtt(position, cell, "probe-uni")
                      for _ in range(60)])
     assert after > before + units.ms(20.0)
-
-
-def test_slice_admission_guards_against_failure_cascade():
-    """Admission control refuses a slice whose own demand exceeds its
-    reservation — the config error that would otherwise melt a pool."""
-    from repro.cn import NetworkSlice, SliceManager, SliceType
-    mgr = SliceManager(units.gbps(10.0))
-    with pytest.raises(ValueError):
-        mgr.admit(NetworkSlice("greedy", SliceType.EMBB, 0.1,
-                               offered_load_bps=units.gbps(5.0)))
-
-
-def test_hypervisor_single_site_has_no_backup():
-    """Resilience accounting is honest: one hypervisor means infinite
-    backup latency, not a silently reused primary."""
-    from repro.cn import PlacementObjective
-    from repro.core import HypervisorPlacementStudy
-    study = HypervisorPlacementStudy()
-    result = study.planner.place(1, PlacementObjective.RESILIENCE)
-    assert result.worst_backup_latency_s == float("inf")

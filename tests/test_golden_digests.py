@@ -83,3 +83,38 @@ def test_golden_study_digest(study, seed):
     assert digest == GOLDEN_STUDY_SHA256[study, seed], (
         f"{study} @ seed {seed} produced digest {digest}; see this "
         "module's docstring before touching the constant.")
+
+
+#: SHA-256 of the CLI's stdout, byte for byte.  ``tests/test_cli.py``
+#: checks what these commands print; these pin every byte of it.
+GOLDEN_STDOUT_SHA256 = {
+    ("evaluate", "--seed", "42"):
+        "540262cad3fb0de580bcf327e7e204fcc4a5afa77f5d0b62b107fe0378ec70e3",
+    ("evaluate", "--seed", "42", "--scenario", "skopje"):
+        "477294bcb6fbb0437768e5ad139b809b68f67d151ef2682785ed64830ee9e6fc",
+    ("peering",):
+        "67f89e72df807ba4d83152bc247b4b9a72c81921e56e2d89ebaf02736e7b9a5a",
+    ("upf",):
+        "04f8d438f829e3d94ca9be713c699b12c8c6cf0b6beb5b73e4e94392633e8097",
+    ("cpf",):
+        "9d53df359111b3c1f486a58f009d1ad9aa8d4f77d94fbe3d0f64c98134d249c9",
+    ("requirements",):
+        "13b7c7672069a5590709973c4b7745efbefb8220239d00560d97095a49e69ef3",
+    ("scenarios",):
+        "474041170d810a25662f33cdecd61524abf6271a1c7bf16bdec453a0abe2e94c",
+}
+
+
+@pytest.mark.parametrize(
+    "argv", sorted(GOLDEN_STDOUT_SHA256),
+    ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv))
+def test_golden_stdout_digest(argv, capsys):
+    from repro.__main__ import main
+
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_STDOUT_SHA256[argv], (
+        f"`python -m repro {' '.join(argv)}` printed other bytes "
+        f"(digest {digest}); see this module's docstring before "
+        "touching the constant.")

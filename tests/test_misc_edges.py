@@ -59,10 +59,3 @@ def test_units_table_consistency():
     assert units.TB / units.GB == pytest.approx(1000.0)
     assert units.RATE_TBPS / units.RATE_GBPS == pytest.approx(1000.0)
     assert units.DAY == 24 * units.HOUR
-
-
-def test_iot_protocols_cover_all_enum_values():
-    from repro.apps import IotProtocol, PROTOCOLS
-    assert set(PROTOCOLS) == set(IotProtocol)
-    for protocol, stack in PROTOCOLS.items():
-        assert stack.protocol is protocol

@@ -1,20 +1,15 @@
-"""Tests for the channel model, gNB layer, scheduler and access."""
+"""Tests for the channel model and the gNB layer."""
 
 import numpy as np
 import pytest
 
-from repro import units
 from repro.geo import GeoPoint
 from repro.ran import (
-    AccessProcedure,
-    CellLoadModel,
     ChannelModel,
     GNodeB,
     RadioConfig,
     RadioNetwork,
-    SchedulerPolicy,
 )
-from repro.sim import RngRegistry
 
 CENTRE = GeoPoint(46.62, 14.30)
 
@@ -22,11 +17,6 @@ CENTRE = GeoPoint(46.62, 14.30)
 @pytest.fixture
 def channel():
     return ChannelModel(3.5e9, seed=7)
-
-
-@pytest.fixture
-def rng():
-    return RngRegistry(5).stream("ran")
 
 
 # ---------------------------------------------------------------------------
@@ -154,86 +144,6 @@ def test_coverage_sinr(channel):
     net = make_network(channel)
     sinrs = net.coverage_sinr([GeoPoint(46.62, 14.28), GeoPoint(46.62, 14.40)])
     assert sinrs[0] > sinrs[1]
-
-
-# ---------------------------------------------------------------------------
-# CellLoadModel (scalability, Sec. II-C)
-# ---------------------------------------------------------------------------
-
-def test_utilisation_grows_with_population(channel):
-    model = CellLoadModel(channel)
-    rate = units.mbps(0.1)
-    u_small = model.utilisation(100, rate)
-    u_big = model.utilisation(5000, rate)
-    assert u_small < u_big <= 0.99
-
-
-def test_pf_beats_rr_capacity(channel):
-    pf = CellLoadModel(channel, policy=SchedulerPolicy.PROPORTIONAL_FAIR)
-    rr = CellLoadModel(channel, policy=SchedulerPolicy.ROUND_ROBIN)
-    assert pf.cell_capacity_bps(64) > rr.cell_capacity_bps(64)
-    assert pf.cell_capacity_bps(1) == rr.cell_capacity_bps(1)
-
-
-def test_max_supported_users_consistent(channel):
-    model = CellLoadModel(channel)
-    rate = units.mbps(0.05)
-    n = model.max_supported_users(rate, max_utilisation=0.9)
-    assert model.utilisation(n, rate) <= 0.9
-    assert model.utilisation(n + 1, rate) > 0.9
-
-
-def test_load_model_validation(channel):
-    model = CellLoadModel(channel)
-    with pytest.raises(ValueError):
-        model.utilisation(-1, 1e6)
-    with pytest.raises(ValueError):
-        model.utilisation(10, -1e6)
-    with pytest.raises(ValueError):
-        model.cell_capacity_bps(0)
-    with pytest.raises(ValueError):
-        model.max_supported_users(0.0)
-    assert model.utilisation(0, 1e6) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# AccessProcedure
-# ---------------------------------------------------------------------------
-
-def test_attach_latency_magnitude_5g(rng):
-    proc = AccessProcedure(RadioConfig.nr_5g())
-    samples = [proc.sample_attach(rng) for _ in range(300)]
-    mean = np.mean(samples)
-    assert units.ms(5.0) < mean < units.ms(30.0)
-
-
-def test_attach_contention_increases_latency(rng):
-    proc = AccessProcedure(RadioConfig.nr_5g())
-    assert proc.mean_attach(contenders=40) > proc.mean_attach(contenders=1)
-
-
-def test_collision_probability():
-    proc = AccessProcedure(RadioConfig.nr_5g(), n_preambles=54)
-    assert proc.collision_probability(1) == 0.0
-    assert 0.0 < proc.collision_probability(10) < \
-        proc.collision_probability(50) < 1.0
-    with pytest.raises(ValueError):
-        proc.collision_probability(-1)
-
-
-def test_attach_gives_up_under_extreme_contention(rng):
-    proc = AccessProcedure(RadioConfig.nr_5g(), n_preambles=2,
-                           max_attempts=3)
-    with pytest.raises(RuntimeError):
-        for _ in range(200):    # overwhelmingly likely to hit the budget
-            proc.sample_attach(rng, contenders=500)
-
-
-def test_access_validation():
-    with pytest.raises(ValueError):
-        AccessProcedure(RadioConfig.nr_5g(), prach_period_s=0.0)
-    with pytest.raises(ValueError):
-        AccessProcedure(RadioConfig.nr_5g(), n_preambles=0)
 
 
 # ---------------------------------------------------------------------------
