@@ -13,7 +13,9 @@ separators — see :func:`canonical_dumps`) into a SHA-256 digest, and
 
 Each entry carries a second digest over the record payload itself, so
 a corrupted or half-written entry is detected on read, dropped, and
-transparently recomputed.  :class:`CachingExecutor` wraps any
+transparently recomputed; so is an entry whose record's ``spec_key``
+is not the key it is stored under (digest-less records included).
+:class:`CachingExecutor` wraps any
 :class:`~repro.fleet.executors.Executor` with read-through/write-back
 semantics: hits return in zero compute, misses flow to the inner
 backend and are stored on the way out.  Because the key ignores
@@ -60,20 +62,16 @@ def _payload_sha256(record_dict: Mapping[str, Any]) -> str:
     return hashlib.sha256(canonical_dumps(record_dict).encode()).hexdigest()
 
 
-def rebind_record(record: RunRecord, run: RunSpec, key: str) -> RunRecord:
+def rebind_record(record: RunRecord, run: RunSpec) -> RunRecord:
     """A cached record re-labelled for one sweep's bookkeeping.
 
     The summary is content-addressed; ``run_id`` and variant labels
     are sweep-local metadata, so a record cached by one sweep slots
-    into any other that reaches the same key.  Entries written by
-    pre-``spec_key`` caches get the digest stamped on the way out —
-    it *is* the key they were stored under.
+    into any other that reaches the same key.
     """
-    if (record.run_id == run.run_id and record.variant == run.variant
-            and record.spec_key == key):
+    if record.run_id == run.run_id and record.variant == run.variant:
         return record
-    return replace(record, run_id=run.run_id, variant=run.variant,
-                   spec_key=key)
+    return replace(record, run_id=run.run_id, variant=run.variant)
 
 
 @dataclass
@@ -109,18 +107,15 @@ class ResultCache:
         self._lock = WatchedLock("result-cache")
         self.stats = CacheStats()
 
-    def key_for(self, run: RunSpec) -> str:
-        return run.spec_key()
-
     def path_for(self, key: str) -> Path:
         return self.directory / OBJECTS_DIR / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> Optional[RunRecord]:
         """The cached record, or ``None`` on miss *or* corruption.
 
-        A corrupt entry (unparseable, wrong shape, or payload digest
-        mismatch) is deleted so the caller's recompute can overwrite it
-        cleanly.
+        A corrupt entry (unparseable, wrong shape, payload digest
+        mismatch, or a record whose ``spec_key`` is not ``key``) is
+        deleted so the caller's recompute can overwrite it cleanly.
         """
         path = self.path_for(key)
         try:
@@ -128,6 +123,8 @@ class ResultCache:
             if _payload_sha256(entry["record"]) != entry["payload_sha256"]:
                 raise ValueError("payload digest mismatch")
             record = RunRecord.from_dict(entry["record"])
+            if record.spec_key != key:
+                raise ValueError("record answers another key")
         except FileNotFoundError:
             with self._lock:
                 self.stats.misses += 1
@@ -238,13 +235,9 @@ class CachingExecutor:
     def jobs(self) -> int:
         return getattr(self.inner, "jobs", 1)
 
-    #: shared with the fleet service broker, which prefills submitted
-    #: fleets from the same cache
-    _rebind = staticmethod(rebind_record)
-
     def map(self, runs: Sequence[RunSpec]) -> Iterator[RunOutcome]:
         runs = list(runs)
-        keys = [self.cache.key_for(run) for run in runs]
+        keys = [run.spec_key() for run in runs]
         hits: dict[int, RunRecord] = {}
         miss_indices: list[int] = []
         for index, key in enumerate(keys):
@@ -261,7 +254,7 @@ class CachingExecutor:
         for index, run in enumerate(runs):
             if index in hits:
                 yield RunOutcome(
-                    record=self._rebind(hits[index], run, keys[index]),
+                    record=rebind_record(hits[index], run),
                     wall_s=0.0, cached=True)
             else:
                 outcome = next(fresh)

@@ -5,10 +5,9 @@ the disagreement *is* the result — an implementation change shifted
 the numbers, a base spec was edited between campaigns, or the variant
 grids themselves drifted apart.  This module loads two or more record
 sets (fleet directories or content-addressed result caches), aligns
-them run-by-run on content identity (the ``spec_key`` digest, with the
-metadata fallback for digest-less v2 records), and reduces the
-differences to a per-variant delta report over the headline metrics:
-mobile mean, mobile/wired factor, exceedance, detour.
+them run-by-run on content identity (the ``spec_key`` digest), and
+reduces the differences to a per-variant delta report over the
+headline metrics: mobile mean, mobile/wired factor, exceedance, detour.
 
 Alignment is two-stage, mirroring the sweep's own decomposition:
 variants pair first by their grid coordinates (scenario + axis/value
@@ -16,8 +15,11 @@ pairs), then — for variants one side renamed — by the content identity
 of their member runs, so a relabelled axis compares clean instead of
 reading as a grid change.  Within a paired variant, runs match by
 seed and their identities are verified; ``identical_runs`` counts the
-pairs whose inputs are provably the same.  Variants with coordinates
-(and content) on only one side are reported as added/removed.
+pairs whose inputs are provably the same, i.e. whose digests are equal.
+Digest-less records (written before manifest schema v3) still pair by
+grid coordinates and seed, but never count as identical and never
+rescue a renamed variant.  Variants with coordinates (and content) on
+only one side are reported as added/removed.
 
 :meth:`FleetComparison.failures` turns the report into a CI gate:
 grid drift always fails, and ``(metric, pct)`` thresholds fail any
@@ -36,7 +38,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Union
 
 from .cache import OBJECTS_DIR, ResultCache
-from .store import MANIFEST_NAME, FleetStore
+from .store import MANIFEST_NAME, RUNS_DIR, FleetStore
 from .sweep import RunRecord
 
 __all__ = [
@@ -68,16 +70,9 @@ def variant_label(key: VariantKey) -> str:
 
 
 def _same_inputs(a: RunRecord, b: RunRecord) -> bool:
-    """Whether two records were computed from identical inputs.
-
-    Digest comparison when both sides are stamped; the shared
-    :meth:`~repro.fleet.sweep.RunRecord.legacy_identity` tuple when
-    either side predates ``spec_key``, so v2 and v3 fleets of the
-    same campaign still align.
-    """
-    if a.spec_key and b.spec_key:
-        return a.spec_key == b.spec_key
-    return a.legacy_identity() == b.legacy_identity()
+    """Whether two records were provably computed from identical
+    inputs: both carry the same ``spec_key`` digest."""
+    return bool(a.spec_key) and a.spec_key == b.spec_key
 
 
 @dataclass(frozen=True)
@@ -105,26 +100,28 @@ class RecordSet:
     @classmethod
     def from_path(cls, path: Union[str, Path], *,
                   label: str = "") -> "RecordSet":
-        """Load a fleet directory (``manifest.json``) or a result
-        cache (``objects/``) as one record set.
+        """Load a fleet directory (``manifest.json`` or ``runs/``) or a
+        result cache (``objects/``) as one record set.
 
-        An interrupted fleet — skeleton manifest, not yet marked
-        ``complete`` — contributes the records streamed to ``runs/``
-        before the crash, not the manifest's (empty) run list.
+        A fleet without a complete manifest contributes the records in
+        ``runs/``: an interrupted sweep (skeleton manifest, not yet
+        marked ``complete``) the ones streamed before the crash, a
+        run-list fleet (``runs/`` and no manifest, as the service
+        writes for ``sweep --backend remote``) all of its records.
         """
         root = Path(path)
-        if (root / MANIFEST_NAME).exists():
-            store = FleetStore(root)
-            if store.read_manifest().get("complete", True):
-                records = store.load().records
-            else:
-                records = tuple(store.existing_records().values())
+        store = FleetStore(root)
+        has_manifest = store.manifest_path.exists()
+        if has_manifest and store.read_manifest().get("complete", True):
+            records = store.load().records
+        elif has_manifest or (root / RUNS_DIR).is_dir():
+            records = tuple(store.existing_records().values())
         elif (root / OBJECTS_DIR).is_dir():
             records = tuple(ResultCache(root).iter_records())
         else:
             raise FileNotFoundError(
-                f"{root} is neither a fleet directory "
-                f"({MANIFEST_NAME}) nor a result cache ({OBJECTS_DIR}/)")
+                f"{root} is neither a fleet directory ({MANIFEST_NAME} "
+                f"or {RUNS_DIR}/) nor a result cache ({OBJECTS_DIR}/)")
         return cls(label=label or root.name or str(root),
                    records=records)
 
@@ -294,41 +291,20 @@ class FleetComparison:
         return str(target)
 
 
-class _IdentityIndex:
-    """Baseline run identities -> owning variant key, built once per
+def _digest_owners(base_variants: dict[VariantKey, tuple[RunRecord, ...]],
+                   keys: Sequence[VariantKey]) -> dict[str, VariantKey]:
+    """Baseline run digests -> owning variant key, built once per
     candidate set so label-drift rescue stays linear in record count.
-
-    Mirrors :func:`_same_inputs`: digests pair only with digests, the
-    legacy metadata tuple bridges any pairing that involves a
-    digest-less record.
-    """
-
-    def __init__(self, base_variants: dict[VariantKey,
-                                           tuple[RunRecord, ...]],
-                 keys: Sequence[VariantKey]) -> None:
-        self._by_digest: dict[str, VariantKey] = {}
-        self._by_meta_unstamped: dict[tuple[Any, ...], VariantKey] = {}
-        self._by_meta: dict[tuple[Any, ...], VariantKey] = {}
-        for key in keys:
-            for record in base_variants[key]:
-                if record.spec_key:
-                    self._by_digest.setdefault(record.spec_key, key)
-                else:
-                    self._by_meta_unstamped.setdefault(
-                        record.legacy_identity(), key)
-                self._by_meta.setdefault(record.legacy_identity(), key)
-
-    def owner(self, record: RunRecord) -> Optional[VariantKey]:
-        if record.spec_key:
-            key = self._by_digest.get(record.spec_key)
-            if key is None:
-                key = self._by_meta_unstamped.get(
-                    record.legacy_identity())
-            return key
-        return self._by_meta.get(record.legacy_identity())
+    Digest-less records own nothing."""
+    owners: dict[str, VariantKey] = {}
+    for key in keys:
+        for record in base_variants[key]:
+            if record.spec_key:
+                owners.setdefault(record.spec_key, key)
+    return owners
 
 
-def _content_match(index: _IdentityIndex,
+def _content_match(owners: dict[str, VariantKey],
                    unmatched_base: Sequence[VariantKey],
                    cand_records: Sequence[RunRecord]
                    ) -> Optional[VariantKey]:
@@ -340,7 +316,7 @@ def _content_match(index: _IdentityIndex,
     """
     votes: dict[VariantKey, int] = {}
     for record in cand_records:
-        key = index.owner(record)
+        key = owners.get(record.spec_key)
         if key is not None and key in unmatched_base:
             votes[key] = votes.get(key, 0) + 1
     if not votes:
@@ -370,14 +346,14 @@ def compare_record_sets(baseline: RecordSet,
         pairs: list[tuple[VariantKey, VariantKey]] = []
         unmatched_base = [key for key in base_variants
                           if key not in cand_variants]
-        index = _IdentityIndex(base_variants, unmatched_base)
+        owners = _digest_owners(base_variants, unmatched_base)
         for key in cand_variants:
             if key in base_variants:
                 pairs.append((key, key))
         for key in cand_variants:
             if key in base_variants:
                 continue
-            match = _content_match(index, unmatched_base,
+            match = _content_match(owners, unmatched_base,
                                    cand_variants[key])
             if match is not None:
                 pairs.append((key, match))

@@ -187,10 +187,11 @@ def resume_sweep(directory: Union[str, Path], *, jobs: int = 1,
     reads each record file once; flagged ``cached`` in the result,
     wall time carried over from the prior manifest where known),
     executes the rest, and rewrites the directory as a finished
-    fleet.  A record whose ``spec_key`` (or
-    legacy metadata, for digest-less v2 records) disagrees with the
-    manifest's current spec — say, an axis value edited since the
-    original sweep — is stale and recomputed, never silently reused.
+    fleet.  A record whose ``spec_key`` disagrees with the manifest's
+    current spec — say, an axis value edited since the original
+    sweep — is stale and recomputed, never silently reused; so is a
+    digest-less record from a fleet written before manifest schema
+    v3.
     ``progress`` counts the re-run work: ``total`` is the number of
     missing runs.
     """

@@ -44,9 +44,9 @@ RUNS_DIR = "runs"
 #: the backend name, per-run cache flags, and the ``complete`` marker;
 #: v3 adds the per-run ``spec_key`` content digest (mirrored from the
 #: record) so run identity is verifiable without re-hashing specs.
-#: Older manifests — and their digest-less records — still load;
-#: identity checks then fall back to ``(scenario, seed, density,
-#: variant)``.
+#: Older manifests — and their digest-less records — still load and
+#: compare, but a digest-less record answers no run: resume recomputes
+#: it.
 SCHEMA_VERSION = 3
 
 
@@ -328,10 +328,10 @@ class FleetStore:
         """The records on disk that answer one of ``runs``, keyed by
         run id; each file is parsed once.
 
-        A record counts only if its content identity verifies against
-        its run (``spec_key``, or the legacy metadata fallback) — a
-        record left by an earlier sweep whose manifest spec has since
-        been edited is stale, not present.
+        A record counts only if its ``spec_key`` verifies against its
+        run — a record left by an earlier sweep whose manifest spec has
+        since been edited is stale, not present, and so is a
+        digest-less one.
         """
         existing = self.existing_records()
         return {run.run_id: existing[run.run_id] for run in runs

@@ -253,12 +253,6 @@ class RunSpec:
     def _build_key(self) -> str:
         return spec_build_key(self.scenario, self.seed, self.density)
 
-    def legacy_identity(self) -> tuple[Any, ...]:
-        """The metadata identity a digest-less (v2) record can be
-        checked against; see :meth:`RunRecord.legacy_identity`."""
-        return (self.scenario.name, self.seed, float(self.density),
-                self.variant)
-
     def to_dict(self) -> dict[str, Any]:
         return {"run_id": self.run_id,
                 "scenario": self.scenario.to_dict(),
@@ -390,9 +384,10 @@ class RunRecord:
     timing deliberately lives in the manifest, not here, so serial and
     parallel executions of the same sweep produce bit-identical
     records.  ``spec_key`` is the :func:`run_key` digest of the inputs
-    the record was computed from; records written before manifest
-    schema v3 lack it (empty string) and fall back to the
-    ``(scenario, seed, density, variant)`` tuple for identity.
+    the record was computed from and the record's only identity.
+    Records written before manifest schema v3 lack it (empty string):
+    they still load and serialise back to their original bytes, but
+    they answer no run (see :func:`record_matches_spec`).
     """
 
     run_id: str
@@ -408,15 +403,6 @@ class RunRecord:
         if isinstance(self.summary, Mapping):
             object.__setattr__(self, "summary",
                                EvaluationSummary.from_dict(self.summary))
-
-    def legacy_identity(self) -> tuple[Any, ...]:
-        """The identity a digest-less (v2) record still carries:
-        ``(scenario, seed, density, variant)``.  Weaker than
-        ``spec_key`` — it cannot see base-spec edits that leave these
-        four unchanged — but it is all the metadata such records have.
-        """
-        return (self.scenario, self.seed, float(self.density),
-                self.variant)
 
     def variant_key(self) -> tuple[tuple[str, Any], ...]:
         """The record's grid coordinates, shared across seeds: the
@@ -464,17 +450,13 @@ class RunRecord:
 
 
 def record_matches_spec(record: RunRecord, run: RunSpec) -> bool:
-    """Whether ``record`` was computed from exactly ``run``'s inputs.
+    """Whether ``record`` was computed from exactly ``run``'s inputs:
+    its ``spec_key`` equals the run's :func:`run_key` digest.
 
-    The stale-record guard behind resume: matching on ``run_id`` alone
-    would silently reuse records computed under an edited manifest
-    spec.  Stamped records compare content digests, which cover the
-    complete inputs.  Digest-less (v2) records can only be checked
-    against the metadata they carry — ``(scenario, seed, density,
-    variant)`` — which catches axis/seed/density edits but *not* a
-    base-spec edit that leaves all four unchanged; records written at
-    schema v3 or later close that gap.
+    The stale-record guard behind resume, recovery and the service's
+    result check: matching on ``run_id`` alone would silently reuse
+    records computed under an edited spec.  A digest-less (pre-v3)
+    record matches no run (a run's digest is never empty), since its
+    metadata cannot show which spec it was computed from.
     """
-    if record.spec_key:
-        return record.spec_key == run.spec_key()
-    return record.legacy_identity() == run.legacy_identity()
+    return record.spec_key == run.spec_key()

@@ -355,20 +355,9 @@ class FleetBroker:
             self._fleets[fleet_id] = fleet
             if submission_key:
                 self._submissions[submission_key] = fleet_id
-            cached = 0
-            if self.cache is not None:
-                # Warm-cache prefill: a run the shared cache has
-                # already seen never reaches the queue.
-                for slot in fleet.slots:
-                    key = slot.run.spec_key()
-                    record = self.cache.get(key)
-                    if record is None:
-                        continue
-                    slot.record = rebind_record(record, slot.run, key)
-                    slot.state = DONE
-                    slot.cached = True
-                    cached += 1
-                    store.write_record(slot.record)
+            # Warm-cache prefill: a run the shared cache has already
+            # seen never reaches the queue.
+            cached = sum(self._prefill(fleet, slot) for slot in fleet.slots)
             fleet.submitted_cached = cached
             fleet.events.append({"event": "submitted",
                                  "fleet_id": fleet_id,
@@ -384,6 +373,22 @@ class FleetBroker:
             self._cond.notify_all()
             return SubmitAck(fleet_id=fleet_id, total=len(fleet.slots),
                              cached=cached)
+
+    def _prefill(self, fleet: _Fleet, slot: _Slot) -> bool:
+        """Fill ``slot`` from the shared cache, if it holds the run:
+        DONE, flagged cached, its record written to the fleet store.
+        Touches only the fleet and the cache, so it runs with or
+        without the lock (submission holds it, recovery does not)."""
+        if self.cache is None:
+            return False
+        record = self.cache.get(slot.run.spec_key())
+        if record is None:
+            return False
+        slot.record = rebind_record(record, slot.run)
+        slot.state = DONE
+        slot.cached = True
+        fleet.store.write_record(slot.record)
+        return True
 
     # -- leasing ----------------------------------------------------------
 
@@ -876,16 +881,9 @@ class FleetBroker:
                     slot.cached = True
                 stats["records"] += 1
                 continue
-            if self.cache is not None:
-                key = slot.run.spec_key()
-                hit = self.cache.get(key)
-                if hit is not None:
-                    slot.record = rebind_record(hit, slot.run, key)
-                    slot.state = DONE
-                    slot.cached = True
-                    store.write_record(slot.record)
-                    stats["prefilled"] += 1
-                    continue
+            if self._prefill(fleet, slot):
+                stats["prefilled"] += 1
+                continue
             if ack is not None:
                 stats["requeued"] += 1
         fleet.submitted_cached = sum(1 for s in fleet.slots if s.cached)
@@ -995,10 +993,6 @@ class FleetBroker:
         with self._cond:
             ids = list(self._fleets)
         return [self.status(fleet_id) for fleet_id in ids]
-
-    def running_count(self) -> int:
-        with self._cond:
-            return sum(1 for _ in self._open_fleets())
 
     def queue_stats(self) -> dict[str, int]:
         """Queue depth for the readiness probe: pending and leased

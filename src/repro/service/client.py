@@ -338,13 +338,6 @@ class ServiceClient:
         return ResultAck.from_dict(self._post("/results",
                                               submission.to_dict()))
 
-    def post_failure(self, lease_id: str, error: str) -> ResultAck:
-        """Report a failed run so it re-queues without waiting out the
-        lease."""
-        submission = ResultSubmission(lease_id=lease_id, error=error)
-        return ResultAck.from_dict(self._post("/results",
-                                              submission.to_dict()))
-
     def post_results(self, submissions: Sequence[ResultSubmission]
                      ) -> list[Union[ResultAck, ServiceError]]:
         """Post a batch of results and failures in one request.  Each

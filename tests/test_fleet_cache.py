@@ -156,7 +156,7 @@ def test_corrupt_entry_triggers_exactly_one_recompute(tmp_path,
     sweep = small_sweep(seeds=(42, 43))
     cache = ResultCache(tmp_path / "cache")
     cold = run_sweep(sweep, cache=cache)
-    victim = cache.path_for(cache.key_for(sweep.expand()[1]))
+    victim = cache.path_for(sweep.expand()[1].spec_key())
     victim.write_text("truncated garba")
 
     del eval_counter[:]

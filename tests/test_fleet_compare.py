@@ -1,6 +1,6 @@
 """Tests for content-verified run identity and cross-fleet comparison:
 spec_key stamping, the stale-record resume fix, v2 (digest-less)
-compatibility, cache staging hardening, FleetResult validation, and
+records (they load and compare but answer no run), cache staging hardening, FleetResult validation, and
 the compare report + CLI gates."""
 
 import json
@@ -137,20 +137,30 @@ def test_records_are_stamped_with_content_digest(fleet_a):
         [r.spec_key for r in result.records]
 
 
-def test_cache_hits_stamp_digestless_records(tmp_path, fleet_a):
-    """Entries written by a pre-spec_key cache gain the digest on the
-    way out — it is the key they were stored under."""
+def test_cache_hits_stamp_digestless_records(tmp_path, fleet_a,
+                                             eval_counter):
+    """A cache entry whose record does not carry the key it is stored
+    under is a corrupt miss — a digest-less entry as much as one from
+    another run — so the run is recomputed and the entry replaced."""
     _, result = fleet_a
-    run = result.sweep.expand()[0]
+    run, other = result.sweep.expand()
     cache = ResultCache(tmp_path / "cache")
     legacy = RunRecord.from_dict(
         {k: v for k, v in result.records[0].to_dict().items()
          if k != "spec_key"})
     assert not legacy.spec_key
     cache.put(run.spec_key(), legacy)
+    cache.put(other.spec_key(), result.records[0])
+    assert cache.get(run.spec_key()) is None
+    assert cache.get(other.spec_key()) is None
+    assert cache.stats.corrupt == 2 and len(cache) == 0
+
+    cache.put(run.spec_key(), legacy)
     served = run_sweep(small_sweep(values=(30e-3,)), cache=cache)
-    assert served.cached_count == 1
-    assert served.records[0].spec_key == run.spec_key()
+    assert served.cached_count == 0 and len(eval_counter) == 1
+    assert served.records[0].to_dict() == result.records[0].to_dict()
+    assert cache.get(run.spec_key()).to_dict() == \
+        result.records[0].to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +200,8 @@ def test_resume_recomputes_runs_invalidated_by_spec_edit(
 
 def test_v2_fleet_round_trips_and_resume_falls_back(
         tmp_path, fleet_a, eval_counter):
-    """Digest-less (v2) fleets still load, resume clean with zero
-    recompute, and detect spec edits through the metadata fallback."""
+    """Digest-less (v2) fleets still load and round-trip, but their
+    records answer no run: resume recomputes every one of them."""
     out, result = fleet_a
     fleet = tmp_path / "fleet"
     shutil.copytree(out, fleet)
@@ -207,21 +217,21 @@ def test_v2_fleet_round_trips_and_resume_falls_back(
     assert [r.summary.to_dict() for r in loaded.records] == \
         [r.summary.to_dict() for r in result.records]
 
-    # intact v2 records satisfy the expansion via the fallback
-    assert store.missing_runs() == ()
-    resumed = store.resume()
-    assert eval_counter == []
-    assert resumed.cached_count == len(resumed)
-    # records remain v2 (reused as-is), and the manifest is now v3
-    assert store.read_manifest()["schema"] == 3
-
-    # an axis edit is still detected without digests: the stored
-    # variant metadata disagrees with the re-expanded spec
-    manifest = json.loads(store.manifest_path.read_text())
-    manifest["sweep"]["axes"][0]["values"] = [30e-3, 90e-3]
-    store.manifest_path.write_text(json.dumps(manifest))
+    # a digest-less record cannot show which spec it was computed
+    # from, so it satisfies no run of the expansion
+    runs = result.sweep.expand()
+    assert not any(record_matches_spec(record, run)
+                   for record, run in zip(loaded.records, runs))
     assert [r.run_id for r in store.missing_runs()] == \
-        ["klagenfurt-v001-s42"]
+        [r.run_id for r in runs]
+    resumed = store.resume()
+    assert len(eval_counter) == len(runs)
+    assert resumed.cached_count == 0
+    # the recomputed records are the stamped v3 ones, bit for bit
+    assert [r.to_dict() for r in resumed.records] == \
+        [r.to_dict() for r in result.records]
+    assert store.read_manifest()["schema"] == 3
+    assert store.missing_runs() == ()
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +376,16 @@ def test_relabelled_axis_aligns_by_content(fleet_a):
 
 def test_comparison_between_v2_and_v3_fleets_aligns(tmp_path, fleet_a):
     """A digest-less fleet and a stamped one of the same campaign pair
-    through the metadata fallback."""
+    by grid coordinates, but no digest-less pair counts as identical
+    inputs."""
     out, result = fleet_a
     legacy = tmp_path / "legacy"
     shutil.copytree(out, legacy)
     downgrade_to_v2(legacy)
     comparison = compare_paths([out, legacy])
     assert comparison.added == () and comparison.removed == ()
-    assert comparison.identical_runs == len(result.records)
+    assert comparison.paired_runs == len(result.records)
+    assert comparison.identical_runs == 0
     assert all(m.delta == 0.0 for d in comparison.deltas
                for m in d.metrics)
 

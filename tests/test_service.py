@@ -806,11 +806,33 @@ def test_compare_two_complete_fleets_over_http(
     assert pcts and all(pct == 0.0 for pct in pcts)
 
 
-def test_compare_refuses_a_running_fleet(client, runs):
-    ack = client.submit_runs([runs[0].to_dict()])
+def test_compare_refuses_a_running_fleet(client):
+    # A run the shared cache does not hold, so the fleet stays running.
+    run = small_sweep(seeds=(7,)).expand()[0]
+    ack = client.submit_runs([run.to_dict()])
+    assert ack.cached == 0
     with pytest.raises(ServiceError) as exc_info:
         client.compare(ack.fleet_id, ack.fleet_id)
     assert exc_info.value.status == 400
+    assert "still running" in exc_info.value.message
+
+
+def test_compare_two_run_list_fleets_over_http(
+        completed_fleet, client, runs):
+    """Run-list fleets (``job.json`` + ``runs/``, what the remote
+    backend submits) compare like sweep fleets."""
+    fleet_ids = []
+    for _ in range(2):
+        ack = client.submit_runs([run.to_dict() for run in runs])
+        assert ack.cached == ack.total == 2     # warm from the e2e fleet
+        fleet_ids.append(ack.fleet_id)
+    report = client.compare(*fleet_ids)
+    assert report["added"] == [] and report["removed"] == []
+    assert sum(delta["identical_runs"]
+               for delta in report["deltas"]) == 2
+    pcts = [metric["pct"] for variant in report["deltas"]
+            for metric in variant["metrics"]]
+    assert pcts and all(pct == 0.0 for pct in pcts)
 
 
 def test_remote_executor_through_run_sweep(
@@ -1088,6 +1110,40 @@ def test_a_batch_is_acked_item_by_item(tmp_path, runs, serial_records):
         with pytest.raises(ServiceError) as exc_info:
             client._post("/results", {"results": [{"wall_s": 1.0}]})
         assert exc_info.value.status == 400
+    finally:
+        service.stop()
+
+
+def test_a_record_that_is_not_the_leased_runs_is_a_409(
+        tmp_path, runs, serial_records):
+    """A record from another spec is refused whether it carries that
+    spec's digest or none at all: 409, not stored, not cached, and a
+    later fleet for the leased run is not prefilled from it."""
+    service = ReproService(tmp_path / "root", port=0)
+    service.start()
+    try:
+        client = ServiceClient(service.url)
+        ack = client.submit_runs([run.to_dict() for run in runs])
+        grants = client.lease_group("w1", max_runs=8).grants
+        target, = [grant for grant in grants
+                   if grant.run["run_id"] == runs[1].run_id]
+        # Computed from runs[0]'s spec, labelled as runs[1].
+        foreign = serial_records[runs[0].run_id].to_dict()
+        foreign.update(run_id=runs[1].run_id,
+                       variant=[list(p) for p in runs[1].variant])
+        digestless = {k: v for k, v in foreign.items() if k != "spec_key"}
+        outcomes = client.post_results([
+            ResultSubmission(lease_id=target.lease_id, record=record)
+            for record in (digestless, foreign)])
+        assert [getattr(outcome, "status", None)
+                for outcome in outcomes] == [409, 409]
+        assert client.status(ack.fleet_id).done == 0
+        fleet_dir = service.broker.fleet_dir(ack.fleet_id)
+        assert not (fleet_dir / "runs" / f"{runs[1].run_id}.json").exists()
+        assert runs[1].spec_key() not in service.cache
+        again = client.submit_runs([runs[1].to_dict()])
+        assert again.cached == 0
+        assert client.status(again.fleet_id).pending == 1
     finally:
         service.stop()
 
