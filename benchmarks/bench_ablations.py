@@ -22,7 +22,6 @@ from repro.cn import ContextAwareRuleEngine, QosFlow, UserPlaneFunction
 from repro.geo import VIENNA
 from repro.geo.grid import CellId
 from repro.ran import AirInterface, ChannelModel, RadioConfig
-from repro.sim import RngRegistry
 
 
 def test_ablation_policy_routing(scenario):

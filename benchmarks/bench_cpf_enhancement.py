@@ -13,8 +13,6 @@ Paper claims reproduced:
 Timed work: the full procedure comparison; one QoS-cache run.
 """
 
-import pytest
-
 from repro import units
 from repro.core import CpfEnhancementStudy, QosCacheStudy
 

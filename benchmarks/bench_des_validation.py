@@ -9,7 +9,6 @@ has.
 Timed work: a 20k-packet DES run over the Table I path.
 """
 
-import numpy as np
 import pytest
 
 from repro import units

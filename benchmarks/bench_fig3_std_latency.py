@@ -11,8 +11,6 @@ Paper values reproduced (default seed):
 Timed work: the per-cell aggregation over the campaign dataset.
 """
 
-import pytest
-
 from repro import units
 from repro.probes import CellStatistics
 

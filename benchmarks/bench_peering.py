@@ -11,8 +11,6 @@ Timed work: the full what-if — IXP creation, peering session, BGP
 re-convergence, re-trace.
 """
 
-import pytest
-
 from repro import units
 from repro.core import LocalPeeringExperiment
 from repro.scenarios import build, klagenfurt

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import SensitivityAnalysis
 from repro.geo.coords import haversine, haversine_matrix
-from repro.sim import RngRegistry, SeriesMonitor
+from repro.sim import SeriesMonitor
 
 
 def test_sensitivity_elasticities(benchmark):

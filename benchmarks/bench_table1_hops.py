@@ -11,8 +11,6 @@ Paper values reproduced exactly:
 Timed work: BGP route resolution + hop-by-hop trace.
 """
 
-import pytest
-
 from repro import units
 from repro.net import traceroute
 

@@ -58,7 +58,7 @@ class CompiledScenario:
 
     #: bump when the pickled layout changes; the on-disk store treats
     #: a mismatch as a miss and recompiles
-    SCHEMA = 2
+    SCHEMA = 3
 
     def __init__(self, spec: ScenarioSpec, seed: int = 42,
                  density: float = 6.0):
@@ -69,7 +69,6 @@ class CompiledScenario:
         scenario = build(spec, seed=seed)
         kernel = CampaignKernel(scenario.campaign(density))
         self.precompute: KernelPrecompute = kernel.precompute()
-        self.stage_seconds = dict(kernel.stage_seconds)
         self.wired_rtts_s: np.ndarray = scenario.wired_baseline()
         self.detour_km: float = scenario.detour_route_km()
         self._grid: Grid = scenario.grid

@@ -15,6 +15,10 @@ Each entry carries a second digest over the record payload itself, so
 a corrupted or half-written entry is detected on read, dropped, and
 transparently recomputed; so is an entry whose record's ``spec_key``
 is not the key it is stored under (digest-less records included).
+Entries are written through :func:`~repro.fleet.store.write_atomic`;
+the staging file a crashed writer leaves behind is swept by
+:func:`~repro.fleet.gc.run_gc` (``repro cache gc`` and the fleet
+service's start-up and periodic chores), never by a write.
 :class:`CachingExecutor` wraps any
 :class:`~repro.fleet.executors.Executor` with read-through/write-back
 semantics: hits return in zero compute, misses flow to the inner
@@ -28,15 +32,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import time
-import uuid
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Optional, Sequence, Union
 
 from ..sim.sync import WatchedLock, guarded_by
 from .executors import Executor, RunOutcome
+from .store import write_atomic
 # run_key lives in .sweep (it defines run identity, not just cache
 # addressing), canonical_dumps in repro.scenarios.spec; both are
 # re-exported here for compatibility.
@@ -52,10 +54,6 @@ __all__ = [
 ]
 
 OBJECTS_DIR = "objects"
-
-#: Staging files older than this are considered abandoned by a crashed
-#: writer and swept opportunistically on the next ``put`` nearby.
-ORPHAN_TMP_TTL_S = 3600.0
 
 
 def _payload_sha256(record_dict: Mapping[str, Any]) -> str:
@@ -93,11 +91,11 @@ class ResultCache:
     """One on-disk content-addressed store of run records.
 
     Thread-safe: every entry is written via a unique staging file and
-    an atomic rename, so readers on other threads (or processes) see
-    whole entries or nothing; the in-process stats counters are the
-    only shared mutable state and are lock-guarded (external readers
-    may read them lock-free — ``writes_only`` — a racy stats snapshot
-    is by design).
+    an atomic rename (:func:`~repro.fleet.store.write_atomic`), so
+    readers on other threads (or processes) see whole entries or
+    nothing; the in-process stats counters are the only shared
+    mutable state and are lock-guarded (external readers may read them
+    lock-free — ``writes_only`` — a racy stats snapshot is by design).
     """
 
     stats: CacheStats = guarded_by("_lock", writes_only=True)
@@ -140,54 +138,19 @@ class ResultCache:
         return record
 
     def put(self, key: str, record: RunRecord) -> Path:
-        """Store one record under its key; atomic against readers.
-
-        The staging name is unique per writer (pid + random suffix),
-        so concurrent processes sharing one cache never interleave
-        writes into the same temp file — last rename wins with a whole
-        entry either way.  Staging files abandoned by a crashed writer
-        are swept from the shard opportunistically once they age past
-        :data:`ORPHAN_TMP_TTL_S`.
-        """
+        """Store one record under its key; atomic against readers (see
+        :func:`~repro.fleet.store.write_atomic`), so concurrent
+        processes sharing one cache never see a partial entry."""
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         record_dict = record.to_dict()
         entry = {"key": key,
                  "payload_sha256": _payload_sha256(record_dict),
                  "record": record_dict}
-        staging = path.parent / (
-            f".{path.name}.{os.getpid()}-{uuid.uuid4().hex[:8]}.tmp")
-        staging.write_text(json.dumps(entry, indent=2) + "\n")
-        staging.replace(path)
+        write_atomic(path, json.dumps(entry, indent=2) + "\n")
         with self._lock:
             self.stats.stores += 1
-        self.sweep_orphans(directory=path.parent)
         return path
-
-    def sweep_orphans(self, *, max_age_s: float = ORPHAN_TMP_TTL_S,
-                      directory: Optional[Path] = None) -> int:
-        """Delete staging files older than ``max_age_s``; returns the
-        count removed.
-
-        ``directory`` limits the sweep to one shard (the cheap,
-        opportunistic form ``put`` uses); by default the whole object
-        tree is walked.  Races with live writers are harmless: a
-        missing file is simply skipped.
-        """
-        root = (directory if directory is not None
-                else self.directory / OBJECTS_DIR)
-        if not root.is_dir():
-            return 0
-        now = time.time()
-        removed = 0
-        for staging in root.rglob("*.tmp"):
-            try:
-                if now - staging.stat().st_mtime >= max_age_s:
-                    staging.unlink()
-                    removed += 1
-            except OSError:
-                continue
-        return removed
 
     def iter_records(self) -> Iterator[RunRecord]:
         """Every intact record in the store, in digest order.

@@ -11,8 +11,8 @@ Two tiers:
 
 * an in-process LRU of live :class:`~repro.core.compiled
   .CompiledScenario` objects (compiles are ~35x a sampling phase, but
-  live objects hold the whole precompute — the capacity keeps a small
-  working set, enough for a multi-scenario sweep);
+  live objects hold the whole precompute — :data:`MEMORY_CAPACITY`
+  keeps a small working set, enough for a multi-scenario sweep);
 * an optional on-disk store next to the result cache, so *sequential*
   fleet invocations (cold CLI calls, CI re-runs) skip the build too.
 
@@ -20,9 +20,9 @@ Disk entries are self-verifying: a JSON header line carrying the
 schema version, build key, and the SHA-256 of the pickle blob that
 follows.  Any mismatch — truncation, corruption, a stale schema — is
 treated as a miss: the entry is deleted, counted, and rebuilt.  Like
-the result cache, writes go through a same-directory temp file and an
-atomic :func:`os.replace`, so concurrent fleets never observe partial
-entries.
+the result cache, writes go through
+:func:`~repro.fleet.store.write_atomic`, so concurrent fleets never
+observe partial entries.
 
 The cache is shared between broker threads and the server's GC chore,
 so the memory tier and the stats counters are ``guarded_by`` an
@@ -37,9 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
-import uuid
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Optional
@@ -48,6 +46,7 @@ from ..core.compiled import CompiledScenario
 from ..scenarios.identity import build_key as spec_build_key
 from ..scenarios.spec import ScenarioSpec
 from ..sim.sync import WatchedLock, guarded_by
+from .store import write_atomic
 
 __all__ = ["COMPILED_DIR", "CompiledCacheStats", "CompiledScenarioCache"]
 
@@ -55,6 +54,10 @@ __all__ = ["COMPILED_DIR", "CompiledCacheStats", "CompiledScenarioCache"]
 COMPILED_DIR = "compiled"
 
 _HEADER_SCHEMA = 1
+
+#: Compiled scenarios the in-process tier keeps, least recently used
+#: evicted first.
+MEMORY_CAPACITY = 4
 
 
 @dataclass
@@ -85,12 +88,8 @@ class CompiledScenarioCache:
     _memory: dict[str, CompiledScenario] = guarded_by("_lock")
     stats: CompiledCacheStats = guarded_by("_lock", writes_only=True)
 
-    def __init__(self, directory: Optional[Path | str] = None, *,
-                 capacity: int = 4):
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
+    def __init__(self, directory: Optional[Path | str] = None):
         self.directory = Path(directory) if directory is not None else None
-        self.capacity = capacity
         self._lock = WatchedLock("compiled-cache")
         self.stats = CompiledCacheStats()
         self._memory = {}
@@ -129,7 +128,7 @@ class CompiledScenarioCache:
     def _remember(self, key: str,  # lint: holds(_lock)
                   compiled: CompiledScenario) -> None:
         self._memory[key] = compiled
-        while len(self._memory) > self.capacity:
+        while len(self._memory) > MEMORY_CAPACITY:
             self._memory.pop(next(iter(self._memory)))
 
     def add_stats(self, counts: Mapping[str, int]) -> None:
@@ -194,16 +193,9 @@ class CompiledScenarioCache:
             "build_key": key,
             "blob_sha256": hashlib.sha256(blob).hexdigest(),
         }, sort_keys=True, separators=(",", ":")).encode()
-        tmp = path.parent / \
-            f".{path.name}.{os.getpid()}-{uuid.uuid4().hex[:8]}.tmp"
         try:
-            tmp.write_bytes(header + b"\n" + blob)
-            os.replace(tmp, path)
+            write_atomic(path, header + b"\n" + blob)
         except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
             return
         with self._lock:
             self.stats.stores += 1

@@ -30,7 +30,6 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Iterator,
@@ -45,9 +44,6 @@ from ..core.evaluation import InfrastructureEvaluation
 from ..scenarios.spec import ScenarioSpec
 from .compiled import CompiledScenarioCache
 from .sweep import RunRecord, RunSpec, pack_runs, run_key
-
-if TYPE_CHECKING:   # import cycle: repro.service imports the fleet layer
-    from ..service.retry import RetryPolicy
 
 __all__ = [
     "BACKENDS",
@@ -335,6 +331,18 @@ class BatchExecutor:
         self.close()
 
 
+#: Seconds one long poll of a fleet's records may wait at the server.
+REMOTE_WAIT_S = 10.0
+
+#: Socket timeout of one request to the server, on top of its long poll.
+REMOTE_TIMEOUT_S = 60.0
+
+#: The remote backend's :class:`~repro.service.retry.RetryPolicy`
+#: fields: eight tries, about 16 s of backoff, ride out a server restart.
+REMOTE_RETRY: dict[str, Any] = {
+    "max_attempts": 8, "base_delay_s": 0.2, "max_delay_s": 5.0}
+
+
 class RemoteExecutor:
     """Ship runs to a ``repro serve`` fleet service over HTTP.
 
@@ -345,7 +353,7 @@ class RemoteExecutor:
     processes lease and evaluate them a build-key group at a time,
     and outcomes stream back — in input order — through long polls of
     the fleet's record endpoint, each answered as soon as the next
-    run in order is done (or after ``wait_s``).  Worker
+    run in order is done (or after :data:`REMOTE_WAIT_S`).  Worker
     loss is invisible here: the broker re-queues expired leases and
     deduplicates results by content identity, so this side only ever
     sees each run finish once.  Records are bit-identical to local
@@ -354,11 +362,12 @@ class RemoteExecutor:
     returned without recompute.
 
     Fault tolerance: every request runs under the shared service
-    retry policy, so a server restart or transient connection loss
-    mid-campaign is absorbed by backoff instead of aborting the sweep
-    — the submission carries an idempotency key (retrying it can
-    never double-submit) and the polling loop picks up exactly where
-    the recovered server's journal left the fleet.
+    retry policy (:data:`REMOTE_RETRY`), so a server restart or
+    transient connection loss mid-campaign is absorbed by backoff
+    instead of aborting the sweep — the submission carries an
+    idempotency key (retrying it can never double-submit) and the
+    polling loop picks up exactly where the recovered server's journal
+    left the fleet.
 
     ``jobs`` is advisory — real parallelism is however many workers
     are attached to the server.
@@ -366,9 +375,7 @@ class RemoteExecutor:
 
     name = "remote"
 
-    def __init__(self, jobs: int = 1, *, server: str = "",
-                 wait_s: float = 10.0, timeout_s: float = 60.0,
-                 retry: Optional["RetryPolicy"] = None) -> None:
+    def __init__(self, jobs: int = 1, *, server: str = "") -> None:
         if not server:
             raise ValueError(
                 "remote backend needs server='http://host:port' "
@@ -380,12 +387,8 @@ class RemoteExecutor:
 
         self.jobs = max(1, jobs)
         self.server = server
-        self.wait_s = wait_s
-        if retry is None:
-            retry = RetryPolicy(max_attempts=8, base_delay_s=0.2,
-                                max_delay_s=5.0, timeout_s=timeout_s)
-        self._client = ServiceClient(server, timeout_s=timeout_s,
-                                     retry=retry)
+        self._client = ServiceClient(server, timeout_s=REMOTE_TIMEOUT_S,
+                                     retry=RetryPolicy(**REMOTE_RETRY))
 
     def map(self, runs: Sequence[RunSpec]) -> Iterator[RunOutcome]:
         runs = list(runs)
@@ -395,7 +398,7 @@ class RemoteExecutor:
         next_index = 0
         while next_index < len(runs):
             slots, _ = self._client.slots(ack.fleet_id, since=next_index,
-                                          wait_s=self.wait_s)
+                                          wait_s=REMOTE_WAIT_S)
             for slot in slots:
                 # Outcomes must stream in input order, so only the
                 # done-prefix is consumed; later finishers wait.

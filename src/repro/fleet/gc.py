@@ -18,7 +18,8 @@ their janitor:
 Both caches are content-addressed and self-verifying, so eviction is
 always safe: a future request for a deleted key simply recomputes and
 re-stores it.  The fleet service calls :func:`run_gc` on startup and
-on a configurable period.
+on a configurable period.  :func:`run_gc` is the only orphan sweeper:
+a cache write never lists its shard for stale staging files.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from .cache import OBJECTS_DIR, ORPHAN_TMP_TTL_S, ResultCache
+from .cache import OBJECTS_DIR
 from .compiled import COMPILED_DIR
 
 __all__ = [
@@ -39,6 +40,10 @@ __all__ = [
     "cache_usage",
     "run_gc",
 ]
+
+#: Staging files older than this are taken as abandoned by a crashed
+#: writer and swept by :func:`run_gc`.
+ORPHAN_TMP_TTL_S = 3600.0
 
 #: tier name -> (subdirectory, entry glob)
 TIERS: dict[str, tuple[str, str]] = {
@@ -189,6 +194,22 @@ def cache_usage(directory: Union[str, Path]) -> CacheUsage:
     return CacheUsage(directory=str(root), tiers=tiers, staging=staging)
 
 
+def _sweep_staging(root: Path) -> int:
+    """Delete the staging files under ``root`` older than
+    :data:`ORPHAN_TMP_TTL_S`; returns the count removed.  Races with
+    live writers are harmless: a file that vanished is skipped."""
+    now = time.time()
+    removed = 0
+    for staging in root.rglob("*.tmp"):
+        try:
+            if now - staging.stat().st_mtime >= ORPHAN_TMP_TTL_S:
+                staging.unlink()
+                removed += 1
+        except OSError:
+            continue
+    return removed
+
+
 def _remove(entry: CacheEntry) -> bool:
     try:
         entry.path.unlink()
@@ -206,22 +227,19 @@ def _remove(entry: CacheEntry) -> bool:
 def run_gc(directory: Union[str, Path], *,
            max_bytes: Optional[int] = None,
            max_age_s: Optional[float] = None,
-           orphan_ttl_s: float = ORPHAN_TMP_TTL_S,
            now: Optional[float] = None) -> GcReport:
     """One GC pass over both cache tiers; returns what was removed.
 
     Order of operations: orphaned ``.tmp`` staging files older than
-    ``orphan_ttl_s`` go first (the whole tree, not just the results
-    shards — this is :meth:`ResultCache.sweep_orphans` run eagerly
-    instead of piggybacking on a write), then every entry whose last
-    use is older than ``max_age_s``, then — oldest ``st_atime`` first
-    — however many more entries it takes to bring the combined tiers
-    under ``max_bytes``.  Ties in last-use time break by path, so two
-    GC passes over identical trees always evict identically.
+    :data:`ORPHAN_TMP_TTL_S` go first (the whole tree, both tiers),
+    then every entry whose last use is older than ``max_age_s``, then
+    — oldest ``st_atime`` first — however many more entries it takes
+    to bring the combined tiers under ``max_bytes``.  Ties in last-use
+    time break by path, so two GC passes over identical trees always
+    evict identically.
     """
     root = Path(directory)
-    orphans = ResultCache(root).sweep_orphans(
-        max_age_s=orphan_ttl_s, directory=root) if root.is_dir() else 0
+    orphans = _sweep_staging(root) if root.is_dir() else 0
     entries = _scan(root)
     if now is None:
         now = time.time()

@@ -35,7 +35,7 @@ from .sweep import RunRecord, RunSpec, SweepSpec, record_matches_spec
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .runner import CacheLike, ExecutorLike, ProgressFn
 
-__all__ = ["FleetResult", "FleetStore", "SCHEMA_VERSION"]
+__all__ = ["FleetResult", "FleetStore", "SCHEMA_VERSION", "write_atomic"]
 
 MANIFEST_NAME = "manifest.json"
 RUNS_DIR = "runs"
@@ -48,6 +48,29 @@ RUNS_DIR = "runs"
 #: compare, but a digest-less record answers no run: resume recomputes
 #: it.
 SCHEMA_VERSION = 3
+
+
+def write_atomic(path: Path, data: str | bytes) -> Path:
+    """Write ``data`` to ``path`` through a staging file and one
+    :func:`os.replace`, so a reader on another thread or process sees
+    the old file or the whole new one, never a part.
+
+    The staging name (``.<name>.<pid>-<random>.tmp``, beside ``path``)
+    is unique per writer, so concurrent writers never share one; the
+    last rename wins with a whole file either way.  A failed write
+    removes its staging file; one a crashed writer leaves in a cache
+    directory is swept by :func:`repro.fleet.gc.run_gc`.
+    """
+    staging = path.parent / (
+        f".{path.name}.{os.getpid()}-{uuid.uuid4().hex[:8]}.tmp")
+    try:
+        staging.write_bytes(data.encode() if isinstance(data, str)
+                            else data)
+        os.replace(staging, path)
+    except OSError:
+        staging.unlink(missing_ok=True)
+        raise
+    return path
 
 
 @dataclass(frozen=True)
@@ -176,10 +199,9 @@ class FleetResult:
 class FleetStore:
     """Reads and writes one fleet directory.
 
-    All writes go through a unique staging file and an atomic
-    :func:`os.replace`, so a reader on another thread or process (the
-    service's progress endpoints, a resumed sweep) never observes a
-    half-written manifest or record.
+    Manifests and records are written through :func:`write_atomic`, so
+    a reader on another thread or process (the service's progress
+    endpoints, a resumed sweep) never observes a half-written one.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -188,14 +210,6 @@ class FleetStore:
     @property
     def manifest_path(self) -> Path:
         return self.directory / MANIFEST_NAME
-
-    @staticmethod
-    def _write_text_atomic(path: Path, text: str) -> Path:
-        staging = path.parent / (
-            f".{path.name}.{os.getpid()}-{uuid.uuid4().hex[:8]}.tmp")
-        staging.write_text(text)
-        os.replace(staging, path)
-        return path
 
     def read_manifest(self) -> dict[str, Any]:
         """The raw manifest dict, schema-checked."""
@@ -225,14 +239,14 @@ class FleetStore:
                     "wall_s": 0.0,
                     "complete": False,
                     "runs": []}
-        return self._write_text_atomic(
+        return write_atomic(
             self.manifest_path, json.dumps(manifest, indent=2) + "\n")
 
     def write_record(self, record: RunRecord) -> Path:
         """Persist one run record; idempotent per ``run_id``."""
         path = self.directory / RUNS_DIR / f"{record.run_id}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
-        return self._write_text_atomic(path, record.to_json() + "\n")
+        return write_atomic(path, record.to_json() + "\n")
 
     def read_record(self, run_id: str) -> RunRecord:
         """The stored record of ``run_id``; ``OSError`` when there is
@@ -291,7 +305,7 @@ class FleetStore:
                     "wall_s": result.wall_s,
                     "complete": True,
                     "runs": entries}
-        self._write_text_atomic(
+        write_atomic(
             self.manifest_path, json.dumps(manifest, indent=2) + "\n")
         paths["manifest"] = str(self.manifest_path)
         paths["summary.csv"] = result.to_csv(

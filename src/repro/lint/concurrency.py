@@ -100,6 +100,12 @@ class Rep102BlockingUnderLock(Rule):
     of its key); only atomic renames (``os.replace``) of pre-written
     temp files are exempt.  Reviewed-safe remnants go into the
     baseline with a reason.
+
+    A ``self.<method>(...)`` call made under the lock is followed one
+    level into that method of the same class, and a blocking call in
+    its body is reported at the call site.  A method whose signature
+    carries ``# lint: holds(<lock>)`` is not followed: its body is
+    already checked as running under the lock.
     """
 
     code = "REP102"
@@ -112,24 +118,44 @@ class Rep102BlockingUnderLock(Rule):
         if not ctx.held_locks:
             return
         held = ctx.held_locks[-1]
+        blocking = self._blocking(node, ctx)
+        if blocking is not None:
+            ctx.report(
+                self.code, node,
+                f"'{blocking}' may block while self.{held} is held; "
+                f"move it outside the critical section")
+            return
+        name = _is_self_attr(node.func)
+        info = ctx.current_class
+        if name is None or info is None or name not in info.methods \
+                or held in ctx.holds_escapes(info.methods[name]):
+            return
+        inner = sorted((call.lineno, blocking)
+                       for call in ast.walk(info.methods[name])
+                       if isinstance(call, ast.Call)
+                       and (blocking := self._blocking(call, ctx)))
+        if inner:
+            line, blocking = inner[0]
+            ctx.report(
+                self.code, node,
+                f"'self.{name}()' runs '{blocking}' (line {line}) while "
+                f"self.{held} is held; move the call outside the "
+                f"critical section, or mark the helper "
+                f"'# lint: holds({held})' so its body is checked")
+
+    def _blocking(self, node: ast.Call, ctx: ModuleContext) -> str | None:
+        """The blocking target ``node`` calls — a dotted origin, or
+        ``.name()`` for a configured method name — else ``None``."""
         resolved = ctx.resolve(node.func)
         if resolved is not None:
             for entry in self.config.rep102_blocking:
-                matched = resolved.startswith(entry) \
-                    if entry.endswith(".") else resolved == entry
-                if matched:
-                    ctx.report(
-                        self.code, node,
-                        f"'{resolved}' may block while self.{held} is "
-                        f"held; move it outside the critical section")
-                    return
+                if resolved.startswith(entry) if entry.endswith(".") \
+                        else resolved == entry:
+                    return resolved
         name = _call_name(node.func)
         if name in self.config.rep102_blocking_methods:
-            ctx.report(
-                self.code, node,
-                f"'.{name}()' is a blocking/IO entry point called "
-                f"while self.{held} is held; compute outside the lock "
-                f"and publish the result under it")
+            return f".{name}()"
+        return None
 
 
 class Rep103MutableClassAttr(Rule):

@@ -80,6 +80,10 @@ class ClassInfo:
     locks: set[str] = field(default_factory=set)
     #: ``self.<attr>`` -> constructor names observed in assignments
     attr_types: dict[str, set[str]] = field(default_factory=dict)
+    #: method name -> its ``def``, for rules that follow
+    #: ``self.<method>(...)`` calls one level deep (REP102)
+    methods: dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = field(
+        default_factory=dict)
 
 
 class ModuleContext:
@@ -240,6 +244,7 @@ def _scan_class(node: ast.ClassDef) -> ClassInfo:
         if not isinstance(method,
                           (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
+        info.methods[method.name] = method
         for sub in ast.walk(method):
             if isinstance(sub, ast.Assign):
                 targets: list[ast.expr] = list(sub.targets)

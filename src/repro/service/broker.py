@@ -44,7 +44,7 @@ Fault model (the reason leases and the journal exist):
   the same sweep, crashes and retries included.
 
 Time is injected (``clock``) so lease expiry is unit-testable without
-sleeping.  Idle callers long-poll: :meth:`FleetBroker.lease_group` and
+sleeping.  Idle callers long-poll: :meth:`FleetBroker.lease` and
 :meth:`FleetBroker.slots` take ``wait_s`` and block on the broker's
 condition until work or a result arrives, instead of the caller
 sleeping between requests.
@@ -59,7 +59,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from ..fleet.cache import ResultCache, rebind_record
 from ..fleet.progress import ProgressEvent
-from ..fleet.store import FleetResult, FleetStore
+from ..fleet.store import FleetResult, FleetStore, write_atomic
 from ..sim.sync import WatchedCondition, guarded_by
 from ..fleet.sweep import (
     RunRecord,
@@ -90,6 +90,9 @@ DONE = "done"
 #: to re-expand, so they get this lightweight job file instead of a
 #: ``FleetStore`` manifest).
 RUNS_JOB_MANIFEST = "job.json"
+
+#: The ``Retry-After`` a refused submission carries, in seconds.
+BUSY_RETRY_S = 1.0
 
 
 class BrokerBusy(RuntimeError):
@@ -227,7 +230,6 @@ class FleetBroker:
                  max_fleets: Optional[int] = None,
                  max_pending: Optional[int] = None,
                  lease_rate_per_s: Optional[float] = None,
-                 busy_retry_s: float = 1.0,
                  fault_hook: Optional[
                      Callable[[str], None]] = None) -> None:
         if lease_ttl_s <= 0:
@@ -246,7 +248,6 @@ class FleetBroker:
         self.max_fleets = max_fleets
         self.max_pending = max_pending
         self.lease_rate_per_s = lease_rate_per_s
-        self.busy_retry_s = busy_retry_s
         self._fault = fault_hook or (lambda op: None)
         self._cond = WatchedCondition("broker")
         self.requeues = 0          #: lifetime count of expired leases
@@ -309,13 +310,13 @@ class FleetBroker:
         holds the lock."""
         if self._draining:
             raise BrokerBusy("server is draining; not accepting fleets",
-                             retry_after_s=self.busy_retry_s)
+                             retry_after_s=BUSY_RETRY_S)
         if self.max_fleets is not None:
             running = sum(1 for _ in self._open_fleets())
             if running >= self.max_fleets:
                 raise BrokerBusy(
                     f"at max in-flight fleets ({self.max_fleets})",
-                    retry_after_s=self.busy_retry_s)
+                    retry_after_s=BUSY_RETRY_S)
         if self.max_pending is not None:
             backlog = sum(1 for f in self._open_fleets()
                           for s in f.slots if s.state != DONE)
@@ -323,7 +324,7 @@ class FleetBroker:
                 raise BrokerBusy(
                     f"submission queue full ({backlog} queued, "
                     f"limit {self.max_pending})",
-                    retry_after_s=self.busy_retry_s)
+                    retry_after_s=BUSY_RETRY_S)
 
     def _submit(self, runs: list[RunSpec], sweep: Optional[SweepSpec],
                 submission_key: str,
@@ -392,28 +393,8 @@ class FleetBroker:
 
     # -- leasing ----------------------------------------------------------
 
-    def lease(self, worker_id: str, *,
-              wait_s: float = 0.0) -> Optional[LeaseGrant]:
-        """Check the next pending run out to ``worker_id``, or
-        ``None`` when none arrives within ``wait_s`` (or the broker is
-        draining) — :meth:`lease_packed` with ``max_runs=1``, its run
-        a full :class:`RunSpec` dict."""
-        granted = self._checkout(worker_id, 1, wait_s)
-        if granted is None:
-            return None
-        fleet, members, lease_ids = granted
-        return LeaseGrant(lease_id=lease_ids[0], fleet_id=fleet.fleet_id,
-                          run=fleet.slots[members[0]].run.to_dict(),
-                          ttl_s=self.lease_ttl_s)
-
-    def lease_group(self, worker_id: str, *, max_runs: int = 1,
-                    wait_s: float = 0.0) -> list[LeaseGrant]:
-        """The grants of :meth:`lease_packed`; ``[]`` for none."""
-        return list(self.lease_packed(worker_id, max_runs=max_runs,
-                                      wait_s=wait_s).grants)
-
-    def lease_packed(self, worker_id: str, *, max_runs: int = 1,
-                     wait_s: float = 0.0) -> LeaseGroup:
+    def lease(self, worker_id: str, *, max_runs: int = 1,
+              wait_s: float = 0.0) -> LeaseGroup:
         """Check out to ``worker_id`` the next build-key group: the
         first pending run in submission order plus every later pending
         run of its fleet with the same build key, one lease id each.
@@ -732,8 +713,8 @@ class FleetBroker:
                    "complete": True,
                    "run_ids": [s.run.run_id for s in fleet.slots],
                    "wall_s": fleet.finished - fleet.created}
-            (fleet.store.directory / RUNS_JOB_MANIFEST).write_text(
-                json.dumps(job, indent=2) + "\n")
+            write_atomic(fleet.store.directory / RUNS_JOB_MANIFEST,
+                         json.dumps(job, indent=2) + "\n")
         self._journal({"type": "complete",
                        "fleet_id": fleet.fleet_id})
         fleet.events.append({"event": "complete",

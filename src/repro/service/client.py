@@ -319,8 +319,8 @@ class ServiceClient:
             return None
         return LeaseGrant.from_dict(payload)
 
-    def lease_group(self, worker_id: str, *, max_runs: int,
-                    wait_s: float = 0.0) -> LeaseGroup:
+    def lease_runs(self, worker_id: str, *, max_runs: int,
+                   wait_s: float = 0.0) -> LeaseGroup:
         """Check out up to ``max_runs`` pending runs of the next
         build-key group (the broker may grant fewer, so idle workers
         share a group), one lease per run; an empty group means no

@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Iterator, Union
 
 __all__ = ["FleetJournal", "SNAPSHOT_TYPE"]
 
@@ -218,10 +218,3 @@ class FleetJournal:
             if entry.get("type") in wanted:
                 yield entry
 
-
-def open_journal(directory: Optional[Union[str, Path]], *,
-                 fsync: bool = False) -> Optional[FleetJournal]:
-    """A journal at ``directory``, or ``None`` when durability is off."""
-    if directory is None:
-        return None
-    return FleetJournal(directory, fsync=fsync)

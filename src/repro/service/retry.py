@@ -10,20 +10,21 @@ function, so a retry schedule is reproducible run to run and in tests.
 Design points:
 
 * **Exponential backoff, capped.**  Attempt ``n`` waits
-  ``base * multiplier**n``, clamped to ``max_delay_s``.
+  ``base * 2**n`` (:data:`MULTIPLIER`), clamped to ``max_delay_s``.
 * **Deterministic jitter.**  Real deployments need jitter so a fleet
   of workers does not reconnect in lockstep after a server restart;
   a reproducibility repo needs schedules that replay bit-identically.
-  Both: the jitter fraction is derived from a BLAKE2b hash of
-  ``(key, attempt)`` — different workers (different keys) spread out,
-  the same worker replays the same schedule every time, and no global
-  RNG state is touched (REP001 stays clean).
+  Both: the delay is spread by +/- :data:`JITTER` of itself, by a
+  fraction derived from a BLAKE2b hash of ``(key, attempt)`` —
+  different workers (different keys) spread out, the same worker
+  replays the same schedule every time, and no global RNG state is
+  touched (REP001 stays clean).
 * **Server hints win.**  A 429/503 response carrying ``Retry-After``
   overrides the computed delay when it asks for *more* patience —
   backpressure is the server's call.
-* **Budgets.**  ``max_attempts`` bounds the count and ``budget_s``
-  bounds the total time spent waiting; whichever trips first ends the
-  retry loop and re-raises the last error.
+* **A bounded count.**  ``max_attempts`` bounds the tries; once they
+  are spent the loop raises :class:`RetryExhausted` with the last
+  error attached.
 
 Idempotency is the other half of the contract and lives with the
 callers: result submission is deduplicated by ``run_key`` content
@@ -37,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, TypeVar
+from typing import Callable, Optional, TypeVar
 
 __all__ = [
     "RetryPolicy",
@@ -52,6 +53,12 @@ T = TypeVar("T")
 #: Retry-After hint in seconds, or 0.0 when it gave none.  ``None``
 #: means "not retryable" and the error propagates immediately.
 Classifier = Callable[[BaseException], Optional[float]]
+
+#: Growth factor of the backoff from one attempt to the next.
+MULTIPLIER = 2.0
+
+#: Spread of a delay around its exponential value, +/- this fraction.
+JITTER = 0.25
 
 
 def deterministic_jitter(key: str, attempt: int) -> float:
@@ -82,28 +89,18 @@ class RetryPolicy:
     """How one class of requests backs off and gives up.
 
     ``max_attempts=1`` means "try once, never retry" — the neutral
-    policy a bare client defaults to.  ``timeout_s`` is the per-request
-    socket timeout callers should apply; it rides on the policy so one
-    value configures a whole component.
+    policy a bare client defaults to.
     """
 
     max_attempts: int = 5
     base_delay_s: float = 0.2
-    multiplier: float = 2.0
     max_delay_s: float = 10.0
-    jitter: float = 0.25          #: +/- fraction of the computed delay
-    timeout_s: float = 30.0       #: per-request timeout for callers
-    budget_s: Optional[float] = None  #: total sleep budget, None = unbounded
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if self.base_delay_s < 0 or self.max_delay_s < 0:
             raise ValueError("delays must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be a fraction in [0, 1]")
 
     @classmethod
     def none(cls) -> "RetryPolicy":
@@ -118,9 +115,9 @@ class RetryPolicy:
         clamped to ``max_delay_s`` — then raised to the server's
         ``Retry-After`` hint when that asks for more.
         """
-        base = min(self.base_delay_s * self.multiplier ** attempt,
+        base = min(self.base_delay_s * MULTIPLIER ** attempt,
                    self.max_delay_s)
-        spread = 1.0 + self.jitter * (
+        spread = 1.0 + JITTER * (
             2.0 * deterministic_jitter(key, attempt) - 1.0)
         return max(min(base * spread, self.max_delay_s),
                    float(retry_after_s))
@@ -130,22 +127,15 @@ def call_with_retry(fn: Callable[[], T], *,
                     policy: RetryPolicy,
                     classify: Classifier,
                     key: str = "",
-                    sleep: Callable[[float], None] = time.sleep,
-                    clock: Callable[[], float] = time.monotonic,
-                    on_retry: Optional[
-                        Callable[[int, float, BaseException],
-                                 Any]] = None) -> T:
+                    sleep: Callable[[float], None] = time.sleep) -> T:
     """Run ``fn`` under ``policy``, retrying errors ``classify`` allows.
 
     ``classify(exc)`` returns the server's Retry-After hint in seconds
     (0.0 for "retryable, no hint") or ``None`` for "give up now" —
-    non-retryable errors propagate unwrapped.  ``on_retry(attempt,
-    delay_s, exc)`` observes each backoff (logging, test probes).
-    Raises :class:`RetryExhausted` once attempts or the time budget run
-    out; the last error is chained as the cause.
+    non-retryable errors propagate unwrapped.  ``sleep`` is the test
+    seam for the backoff.  Raises :class:`RetryExhausted` once the
+    attempts run out; the last error is chained as the cause.
     """
-    deadline = (clock() + policy.budget_s
-                if policy.budget_s is not None else None)
     last: BaseException
     for attempt in range(policy.max_attempts):
         try:
@@ -159,10 +149,6 @@ def call_with_retry(fn: Callable[[], T], *,
                 break
             delay = policy.delay_s(attempt, key=key,
                                    retry_after_s=retry_after)
-            if deadline is not None and clock() + delay > deadline:
-                break
-            if on_retry is not None:
-                on_retry(attempt, delay, exc)
             if delay > 0:
                 sleep(delay)
     raise RetryExhausted(policy.max_attempts, key, last) from last

@@ -72,10 +72,11 @@ which is driven directly (no sockets) by the unit tests; these
 handlers only translate HTTP.
 
 Lifecycle chores run in a background thread: expired leases are swept
-even when no worker is polling, the journal is compacted once its
-replay lag passes ``compact_lag``, and — when configured — the shared
-cache is GC'd (:func:`repro.fleet.gc.run_gc`) on startup and every
-``gc_interval_s`` thereafter.
+even when no worker is polling, the journal (at ``root/journal``) is
+compacted once its replay lag passes :data:`COMPACT_LAG`, and the
+shared cache is GC'd (:func:`repro.fleet.gc.run_gc`) on startup —
+which sweeps a crashed writer's staging files, whatever the limits —
+and, when a limit is configured, every ``gc_interval_s`` thereafter.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ import socket
 import sys
 import threading
 import time
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Union
@@ -118,6 +120,9 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 #: sending one, before its handler thread closes it.
 HANDLER_TIMEOUT_S = 30.0
 
+#: Journal entries past the last snapshot that trigger a compaction.
+COMPACT_LAG = 256
+
 
 class _BadRequest(Exception):
     """Maps to a 400 with its message."""
@@ -137,24 +142,21 @@ class ReproService:
     path (SIGTERM): stop granting leases, let checked-out work ack,
     sync the journal.
 
-    The journal lives at ``root/journal`` unless ``journal_dir`` says
-    otherwise; ``journal_fsync=True`` (the CLI's ``--state`` mode)
-    makes each append durable against power loss.  Any journaled state
-    from a previous life is recovered before the socket opens —
-    ``recovery`` holds the counters.
+    The journal lives at ``root/journal``; ``journal_fsync=True`` (the
+    CLI's ``--state`` mode) makes each append durable against power
+    loss.  Any journaled state from a previous life is recovered before
+    the socket opens — ``recovery`` holds the counters.
     """
 
     def __init__(self, root: Union[str, Path], *,
                  host: str = "127.0.0.1", port: int = 0,
                  cache_dir: Optional[Union[str, Path]] = None,
                  lease_ttl_s: float = 60.0,
-                 journal_dir: Optional[Union[str, Path]] = None,
                  journal_fsync: bool = False,
                  max_fleets: Optional[int] = None,
                  max_pending: Optional[int] = None,
                  lease_rate_per_s: Optional[float] = None,
                  stream_heartbeat_s: float = 10.0,
-                 compact_lag: int = 256,
                  gc_max_bytes: Optional[int] = None,
                  gc_max_age_s: Optional[float] = None,
                  gc_interval_s: float = 300.0,
@@ -164,10 +166,8 @@ class ReproService:
         self.cache_dir = (Path(cache_dir) if cache_dir is not None
                           else self.root / "cache")
         self.cache = ResultCache(self.cache_dir)
-        self.journal = FleetJournal(
-            journal_dir if journal_dir is not None
-            else self.root / "journal",
-            fsync=journal_fsync)
+        self.journal = FleetJournal(self.root / "journal",
+                                    fsync=journal_fsync)
         self.broker = FleetBroker(self.root / "fleets", cache=self.cache,
                                   lease_ttl_s=lease_ttl_s,
                                   journal=self.journal,
@@ -176,7 +176,6 @@ class ReproService:
                                   lease_rate_per_s=lease_rate_per_s,
                                   fault_hook=fault_hook)
         self.stream_heartbeat_s = stream_heartbeat_s
-        self.compact_lag = compact_lag
         self.gc_max_bytes = gc_max_bytes
         self.gc_max_age_s = gc_max_age_s
         self.gc_interval_s = gc_interval_s
@@ -258,7 +257,7 @@ class ReproService:
         elapsed = 0.0
         while not self._stop.wait(interval):
             self.broker.expire_leases()
-            self.broker.compact_journal(min_lag=self.compact_lag)
+            self.broker.compact_journal(min_lag=COMPACT_LAG)
             elapsed += interval
             if (self.gc_interval_s and elapsed >= self.gc_interval_s
                     and (self.gc_max_bytes is not None
@@ -354,14 +353,19 @@ class ReproService:
         worker = str(body.get("worker_id", "")) or "anonymous"
         wait_s = self.long_poll_s(body.get("wait_s", 0.0))
         if "max_runs" not in body:
-            # A single-run client: the grant itself, or no run.
-            grant = self.broker.lease(worker, wait_s=wait_s)
-            return grant.to_dict() if grant is not None else {"run": None}
+            # A single-run client: the grant itself, its run a full
+            # RunSpec dict, or no run.
+            group = self.broker.lease(worker, wait_s=wait_s)
+            if not group.grants:
+                return {"run": None}
+            grant, = group.grants
+            run, = unpack_runs(group.packed())
+            return replace(grant, run=run.to_dict()).to_dict()
         max_runs = body["max_runs"]
         if not isinstance(max_runs, int) or max_runs < 1:
             raise _BadRequest("max_runs must be a positive integer")
-        return self.broker.lease_packed(worker, max_runs=max_runs,
-                                        wait_s=wait_s).to_dict()
+        return self.broker.lease(worker, max_runs=max_runs,
+                                 wait_s=wait_s).to_dict()
 
     def long_poll_s(self, value: Any) -> float:
         """A requested long-poll wait, capped at the heartbeat."""

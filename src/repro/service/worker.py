@@ -125,7 +125,7 @@ def run_worker(server: str, *, worker_id: str = "",
                 idle_s = 0.0 if idle_since is None else asked - idle_since
                 wait_s = max(0.0, min(poll_s, max_idle_s - idle_s))
             try:
-                group = client.lease_group(
+                group = client.lease_runs(
                     worker_id, wait_s=wait_s,
                     max_runs=(MAX_GROUP_RUNS if max_runs is None else
                               min(MAX_GROUP_RUNS, max_runs - completed)))

@@ -45,14 +45,32 @@ def test_kernel_identical_at_full_density():
     assert_datasets_identical(scalar, kernel)
 
 
-def test_kernel_identical_under_spec_overrides():
-    """Breakout reassignment and handover knobs flow through the kernel."""
-    spec = get("klagenfurt").with_overrides({
-        "campaign.handover_interruption_s": 0.06,
-    })
+def assert_kernel_identical_under(overrides):
+    spec = get("klagenfurt").with_overrides(overrides)
     scalar = build(spec, seed=9).campaign(2.0).run(kernel=False)
     kernel = build(spec, seed=9).campaign(2.0).run()
     assert_datasets_identical(scalar, kernel)
+
+
+def test_kernel_identical_under_spec_overrides():
+    """Breakout reassignment and handover knobs flow through the kernel."""
+    assert_kernel_identical_under({"campaign.handover_interruption_s": 0.06})
+
+
+def test_kernel_identical_with_the_peer_behind_another_gateway(
+        monkeypatch):
+    """A peer behind another gateway takes the transit hairpin
+    (``CampaignKernel._transit_entry``), compiled once per campaign."""
+    calls = []
+    transit_entry = CampaignKernel._transit_entry
+
+    def counted(self, own, peer_gw):
+        calls.append(peer_gw.name)
+        return transit_entry(self, own, peer_gw)
+
+    monkeypatch.setattr(CampaignKernel, "_transit_entry", counted)
+    assert_kernel_identical_under({"campaign.peers.0.gateway": "frankfurt"})
+    assert calls == ["frankfurt"]
 
 
 def test_kernel_reports_stage_breakdown():

@@ -89,8 +89,7 @@ class FakeClock:
         self.now += dt
 
 
-RETRY = RetryPolicy(max_attempts=6, base_delay_s=0.02,
-                    max_delay_s=0.2, jitter=0.0)
+RETRY = RetryPolicy(max_attempts=6, base_delay_s=0.02, max_delay_s=0.2)
 
 
 def _worker(url, schedule=None, **kwargs):
@@ -355,7 +354,7 @@ def test_server_crash_between_journal_and_ack_never_reevaluates(
     broker = FleetBroker(root, journal=FleetJournal(journal_dir),
                          fault_hook=schedule)
     broker.submit_runs(runs)
-    grant = broker.lease("w1")
+    grant, = broker.lease("w1").grants
     first = ResultSubmission(
         lease_id=grant.lease_id,
         record=serial_records[grant.run["run_id"]], wall_s=0.5)
@@ -372,7 +371,7 @@ def test_server_crash_between_journal_and_ack_never_reevaluates(
     late = revived.submit_result(first)
     assert not late.accepted and late.duplicate
     # The rest of the fleet drains normally.
-    grant = revived.lease("w2")
+    grant, = revived.lease("w2").grants
     ack = revived.submit_result(ResultSubmission(
         lease_id=grant.lease_id,
         record=serial_records[grant.run["run_id"]], wall_s=0.5))

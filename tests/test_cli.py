@@ -169,12 +169,10 @@ def test_cli_rejects_unknown_command():
 
 def test_cli_sweep_remote_reports_an_unreachable_server(monkeypatch,
                                                         capsys):
-    from repro.fleet.executors import RemoteExecutor
-    from repro.service.retry import RetryPolicy
+    from repro.fleet import executors
 
     # One attempt, so the test does not wait out the backoff.
-    monkeypatch.setitem(RemoteExecutor.__init__.__kwdefaults__, "retry",
-                        RetryPolicy.none())
+    monkeypatch.setattr(executors, "REMOTE_RETRY", {"max_attempts": 1})
     assert main(["sweep", "--backend", "remote", "--density", "2",
                  "--server", "http://127.0.0.1:1"]) == 2
     err = capsys.readouterr().err

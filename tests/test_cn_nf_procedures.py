@@ -3,7 +3,7 @@
 import pytest
 
 from repro import units
-from repro.geo import GeoPoint, KLAGENFURT, VIENNA
+from repro.geo import KLAGENFURT, VIENNA
 from repro.cn import NetworkFunction, NFKind, ProcedureBuilder, SbiBus, SiteTier
 from repro.sim import RngRegistry
 

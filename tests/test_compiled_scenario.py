@@ -189,9 +189,10 @@ def test_stale_schema_disk_entry_is_a_counted_miss(tmp_path, monkeypatch):
     assert revived.stats.disk_hits == 1 and revived.stats.corrupt == 0
 
 
-def test_lru_capacity_bounds_the_memory_tier():
+def test_lru_capacity_bounds_the_memory_tier(monkeypatch):
+    monkeypatch.setattr("repro.fleet.compiled.MEMORY_CAPACITY", 1)
     spec = klagenfurt()
-    cache = CompiledScenarioCache(capacity=1)
+    cache = CompiledScenarioCache()
     cache.get(spec, SEED, DENSITY)
     cache.get(spec, SEED + 1, DENSITY)      # evicts the first
     with cache._lock:

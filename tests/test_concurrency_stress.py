@@ -18,7 +18,7 @@ import threading
 import pytest
 
 from repro.fleet import FleetStore, ResultCache, SweepAxis, SweepSpec, run_sweep
-from repro.fleet.compiled import CompiledScenarioCache
+from repro.fleet.compiled import MEMORY_CAPACITY, CompiledScenarioCache
 from repro.geo.coords import GeoPoint
 from repro.ran.channel import ChannelModel
 from repro.scenarios import klagenfurt
@@ -77,8 +77,8 @@ class FakeCompiled:
 def test_compiled_cache_two_thread_hammer(monkeypatch):
     monkeypatch.setattr("repro.fleet.compiled.CompiledScenario",
                         FakeCompiled)
-    cache = CompiledScenarioCache(directory=None, capacity=4)
-    keys = [f"key-{i:02d}" for i in range(8)]  # 2x capacity: churn
+    cache = CompiledScenarioCache(directory=None)
+    keys = [f"key-{i:02d}" for i in range(2 * MEMORY_CAPACITY)]  # churn
     rounds = 400
 
     def hammer(offset):
@@ -96,7 +96,7 @@ def test_compiled_cache_two_thread_hammer(monkeypatch):
     assert stats.memory_hits + stats.builds == 4 * rounds
     assert stats.disk_hits == 0 and stats.corrupt == 0
     with cache._lock:
-        assert len(cache._memory) <= cache.capacity
+        assert len(cache._memory) <= MEMORY_CAPACITY
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +166,13 @@ def test_broker_stress_no_lost_or_duplicated_runs(
     def worker(worker_id):
         def work():
             while True:
-                grant = broker.lease(worker_id)
-                if grant is None:
+                grants = broker.lease(worker_id).grants
+                if not grants:
                     if broker.status(ack.fleet_id).complete:
                         return
                     broker.expire_leases()
                     continue
+                grant, = grants
                 run_id = grant.run["run_id"]
                 with state_lock:
                     first_sight = run_id not in dropped

@@ -13,7 +13,7 @@ import pytest
 from repro import units
 from repro.core import LocalPeeringExperiment
 from repro.geo.grid import CellId
-from repro.net import ASGraph, AutonomousSystem, BGPRouter
+from repro.net import ASGraph, AutonomousSystem
 from repro.ran import GNodeB, RadioConfig
 from repro.scenarios import build, klagenfurt
 from repro.scenarios.klagenfurt import AS_EYEBALL, AS_MOBILE

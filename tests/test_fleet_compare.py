@@ -4,7 +4,6 @@ records (they load and compare but answer no run), cache staging hardening, Flee
 the compare report + CLI gates."""
 
 import json
-import os
 import shutil
 import threading
 
@@ -282,29 +281,6 @@ def test_concurrent_puts_on_one_key_leave_a_valid_entry(
     assert len(cache) == 1
     # every writer staged under its own name; nothing left behind
     assert list(cache.path_for(key).parent.glob("*.tmp")) == []
-
-
-def test_orphaned_staging_files_are_swept(tmp_path, fleet_a):
-    _, result = fleet_a
-    cache = ResultCache(tmp_path / "cache")
-    record = result.records[0]
-    key = record.spec_key
-    shard = cache.path_for(key).parent
-    shard.mkdir(parents=True, exist_ok=True)
-
-    stale = shard / ".crashed-writer.json.tmp"
-    stale.write_text("{half written")
-    os.utime(stale, (0, 0))                   # abandoned long ago
-    fresh = shard / ".live-writer.json.tmp"
-    fresh.write_text("{in flight")
-
-    cache.put(key, record)                    # opportunistic shard sweep
-    assert not stale.exists()                 # aged past the TTL: gone
-    assert fresh.exists()                     # a live writer is spared
-    assert cache.get(key) is not None
-
-    assert cache.sweep_orphans(max_age_s=0.0) == 1
-    assert not fresh.exists()
 
 
 # ---------------------------------------------------------------------------

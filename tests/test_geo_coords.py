@@ -1,7 +1,5 @@
 """Tests for great-circle geometry."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st

@@ -139,6 +139,58 @@ def test_rep102_quiet_outside_lock():
     """) == []
 
 
+def test_rep102_follows_a_helper_call_to_its_blocking_body():
+    # The broker's shape: _submit holds the lock and calls _prefill,
+    # whose store write then runs under it.  Reported at the caller.
+    findings = lint(REP102_CLASS % """
+        def _submit(self, fleet, slots):
+            with self._lock:
+                return sum(self._prefill(fleet, slot) for slot in slots)
+
+        def _prefill(self, fleet, slot):
+            record = slot.record
+            fleet.store.write_record(record)
+            return True
+    """, config=replace(LintConfig(),
+                        rep102_blocking_methods=("write_record",)))
+    assert codes(findings) == ["REP102"]
+    assert findings[0].code_line.startswith("return sum(self._prefill(")
+    assert "'self._prefill()' runs '.write_record()'" in findings[0].message
+
+
+def test_rep102_follows_helpers_one_level_only():
+    assert lint(REP102_CLASS % """
+        def spin(self):
+            with self._lock:
+                self._outer()
+            self._prefill()
+
+        def _outer(self):
+            self._inner()
+
+        def _inner(self):
+            time.sleep(0.1)
+
+        def _prefill(self):
+            time.sleep(0.1)
+    """) == []
+
+
+def test_rep102_does_not_follow_a_holds_helper_twice():
+    # A holds() helper's body is checked under the lock already: its
+    # blocking call is reported there, not again at every caller.
+    findings = lint(REP102_CLASS % """
+        def spin(self):
+            with self._lock:
+                self._nap()
+
+        def _nap(self):  # lint: holds(_lock)
+            time.sleep(0.1)
+    """)
+    assert codes(findings) == ["REP102"]
+    assert findings[0].code_line == "time.sleep(0.1)"
+
+
 def test_rep102_prefix_match_on_blocking_modules():
     findings = lint("""
         import urllib.request

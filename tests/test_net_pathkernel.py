@@ -1,6 +1,5 @@
 """Tests for the compiled path-latency sampler (net.pathkernel)."""
 
-import numpy as np
 import pytest
 
 from repro.geo import GeoPoint

@@ -15,7 +15,6 @@ matter the draw:
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.geo import GeoPoint

@@ -11,7 +11,6 @@ seed; the paper's qualitative findings must survive any seed:
   topology, not sampling).
 """
 
-import numpy as np
 import pytest
 
 from repro import units

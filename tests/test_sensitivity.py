@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 
-from repro.core import KnobResult, SensitivityAnalysis
+from repro.core import SensitivityAnalysis
 from repro.fleet import BatchExecutor, SerialExecutor
 from repro.scenarios import build_count, build_key, klagenfurt
 

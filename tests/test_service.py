@@ -201,17 +201,17 @@ def _post(broker, grant, record, wall_s=0.01):
 
 def test_broker_leases_in_expansion_order(broker, sweep, runs):
     broker.submit_sweep(sweep)
-    granted = [broker.lease("w1").run["run_id"],
-               broker.lease("w2").run["run_id"]]
+    granted = [broker.lease("w1").grants[0].run["run_id"],
+               broker.lease("w2").grants[0].run["run_id"]]
     assert granted == [run.run_id for run in runs]
-    assert broker.lease("w3") is None   # queue drained
+    assert broker.lease("w3").grants == ()   # queue drained
 
 
 def test_broker_completes_a_fleet(broker, sweep, runs, serial_records):
     ack = broker.submit_sweep(sweep)
     assert ack.total == 2 and ack.cached == 0
     for _ in runs:
-        grant = broker.lease("w1")
+        grant, = broker.lease("w1").grants
         result = _post(broker, grant,
                        serial_records[grant.run["run_id"]])
         assert result.accepted
@@ -227,12 +227,12 @@ def test_broker_completes_a_fleet(broker, sweep, runs, serial_records):
 def test_broker_expires_leases_and_requeues(broker, sweep, clock,
                                             serial_records):
     ack = broker.submit_sweep(sweep)
-    dead = broker.lease("doomed")
+    dead, = broker.lease("doomed").grants
     clock.advance(11.0)   # past the 10 s TTL
     assert broker.expire_leases() == 1
     assert broker.requeues == 1
     # The same run comes back with a new lease generation.
-    grant = broker.lease("healthy")
+    grant, = broker.lease("healthy").grants
     assert grant.run["run_id"] == dead.run["run_id"]
     assert grant.lease_id != dead.lease_id
     events = broker.events_since(ack.fleet_id, 0)[0]
@@ -242,10 +242,10 @@ def test_broker_expires_leases_and_requeues(broker, sweep, clock,
 def test_broker_accepts_a_zombies_late_result_only_once(
         broker, sweep, clock, serial_records):
     broker.submit_sweep(sweep)
-    zombie = broker.lease("zombie")
+    zombie, = broker.lease("zombie").grants
     run_id = zombie.run["run_id"]
     clock.advance(11.0)
-    fresh = broker.lease("fresh")    # expiry sweep hands the run over
+    fresh, = broker.lease("fresh").grants  # expiry sweep hands it over
     assert fresh.run["run_id"] == run_id
     assert _post(broker, fresh, serial_records[run_id]).accepted
     # The zombie finishing afterwards is a duplicate, not an error,
@@ -257,7 +257,7 @@ def test_broker_accepts_a_zombies_late_result_only_once(
 def test_broker_rejects_records_that_fail_verification(
         broker, sweep, runs, serial_records):
     broker.submit_sweep(sweep)
-    grant = broker.lease("w1")
+    grant, = broker.lease("w1").grants
     other = runs[1] if grant.run["run_id"] == runs[0].run_id else runs[0]
     with pytest.raises(ValueError, match="content identity"):
         _post(broker, grant, serial_records[other.run_id])
@@ -267,7 +267,7 @@ def test_broker_rejects_records_that_fail_verification(
 
 def test_broker_rejects_unparseable_records(broker, sweep):
     broker.submit_sweep(sweep)
-    grant = broker.lease("w1")
+    grant, = broker.lease("w1").grants
     with pytest.raises(ContractError, match="parse"):
         broker.submit_result(ResultSubmission(
             lease_id=grant.lease_id, record={"run_id": "garbage"}))
@@ -276,12 +276,12 @@ def test_broker_rejects_unparseable_records(broker, sweep):
 def test_broker_requeues_reported_failures_immediately(
         broker, sweep, serial_records):
     broker.submit_sweep(sweep)
-    grant = broker.lease("w1")
+    grant, = broker.lease("w1").grants
     ack = broker.submit_result(ResultSubmission(
         lease_id=grant.lease_id, error="RuntimeError: boom"))
     assert ack.requeued and not ack.accepted
     # No clock advance needed: the run is immediately leasable again.
-    again = broker.lease("w2")
+    again, = broker.lease("w2").grants
     assert again.run["run_id"] == grant.run["run_id"]
 
 
@@ -291,13 +291,13 @@ def test_broker_releases_a_complete_fleets_records(
     ``slots``/``record`` reads come from the fleet store and are
     byte-identical to the answers given while the records were held."""
     ack = broker.submit_sweep(sweep)
-    first = broker.lease("w1")
+    first, = broker.lease("w1").grants
     _post(broker, first, serial_records[first.run["run_id"]])
     held_slots, complete = broker.slots(ack.fleet_id)
     assert not complete
     held = json.dumps(held_slots[0], sort_keys=False)
     held_record = broker.record(ack.fleet_id, first.run["run_id"])
-    last = broker.lease("w1")
+    last, = broker.lease("w1").grants
     _post(broker, last, serial_records[last.run["run_id"]])
 
     with broker._cond:
@@ -328,7 +328,7 @@ def test_broker_prefills_from_the_shared_cache(tmp_path, clock, sweep,
     assert ack.cached == 2
     status = broker.status(ack.fleet_id)
     assert status.complete and status.cached == 2
-    assert broker.lease("w1") is None   # nothing left to do
+    assert broker.lease("w1").grants == ()   # nothing left to do
     loaded = FleetStore(broker.fleet_dir(ack.fleet_id)).load()
     assert [r.to_dict() for r in loaded.records] == \
         [serial_records[run.run_id].to_dict() for run in runs]
@@ -400,16 +400,16 @@ def test_broker_leases_whole_build_key_groups(broker):
     sweep = small_sweep(seeds=(42, 43))   # two build keys, interleaved
     runs = sweep.expand()
     broker.submit_sweep(sweep)
-    first = broker.lease_group("w1", max_runs=8)
+    first = broker.lease("w1", max_runs=8).grants
     assert _run_ids(first) == [runs[0].run_id, runs[2].run_id]
     assert len({grant.lease_id for grant in first}) == 2
     # max_runs caps the group; the single-run lease is max_runs=1.
-    assert _run_ids(broker.lease_group("w2", max_runs=1)) == \
+    assert _run_ids(broker.lease("w2", max_runs=1).grants) == \
         [runs[1].run_id]
-    assert broker.lease("w2").run["run_id"] == runs[3].run_id
-    assert broker.lease_group("w3", max_runs=8) == []
+    assert broker.lease("w2").grants[0].run["run_id"] == runs[3].run_id
+    assert broker.lease("w3", max_runs=8).grants == ()
     with pytest.raises(ValueError, match="max_runs"):
-        broker.lease_group("w3", max_runs=0)
+        broker.lease("w3", max_runs=0)
 
 
 def _waiters(broker, count, timeout_s=10.0):
@@ -426,8 +426,9 @@ def _waiters(broker, count, timeout_s=10.0):
 def test_waiting_workers_split_a_one_key_group(broker, group_sweep):
     """Two idle workers and one 4-run build-key group: each gets its
     fair share, 2 runs, not one worker the whole group."""
-    calls = [_in_thread(lambda worker=worker: broker.lease_group(
-        worker, max_runs=8, wait_s=60.0)) for worker in ("w1", "w2")]
+    calls = [_in_thread(lambda worker=worker: broker.lease(
+        worker, max_runs=8, wait_s=60.0).grants)
+             for worker in ("w1", "w2")]
     _waiters(broker, 2)
     broker.submit_sweep(group_sweep)
     for thread, _ in calls:
@@ -445,13 +446,13 @@ def test_fair_share_counts_workers_holding_leases(broker, clock,
     what is outstanding, and a dead holder strands only its share."""
     runs = group_sweep.expand()
     broker.submit_sweep(group_sweep)
-    assert len(broker.lease_group("w1", max_runs=1)) == 1
-    assert _run_ids(broker.lease_group("w2", max_runs=8)) == \
+    assert len(broker.lease("w1", max_runs=1).grants) == 1
+    assert _run_ids(broker.lease("w2", max_runs=8).grants) == \
         [run.run_id for run in runs[1:3]]
     clock.advance(10.5)          # both die: every lease expires
     assert broker.expire_leases() == 3
     # Alone again, a worker gets the whole group back.
-    assert len(broker.lease_group("w3", max_runs=8)) == 4
+    assert len(broker.lease("w3", max_runs=8).grants) == 4
 
 
 def test_group_worker_dying_requeues_only_its_unposted_runs(
@@ -461,7 +462,7 @@ def test_group_worker_dying_requeues_only_its_unposted_runs(
     finisher evaluates exactly those 3."""
     runs = group_sweep.expand()
     ack = broker.submit_sweep(group_sweep)
-    group = broker.lease_group("doomed", max_runs=8)
+    group = broker.lease("doomed", max_runs=8).grants
     assert _run_ids(group) == [run.run_id for run in runs]
     clock.advance(6.0)
     assert _post(broker, group[0], group_records[runs[0].run_id]).accepted
@@ -469,7 +470,7 @@ def test_group_worker_dying_requeues_only_its_unposted_runs(
     assert broker.expire_leases() == 0
     clock.advance(4.5)   # 10.5 s after the post: past the 10 s TTL
     assert broker.expire_leases() == 3
-    group = broker.lease_packed("finisher", max_runs=8)
+    group = broker.lease("finisher", max_runs=8)
     finisher = group.grants
     assert _run_ids(finisher) == [run.run_id for run in runs[1:]]
     evaluated = BatchExecutor().map(unpack_runs(group.packed()))
@@ -486,7 +487,7 @@ def test_waiting_lease_wakes_on_submission_and_on_drain(
         monkeypatch, broker, sweep, runs):
     blocked = _blocked(monkeypatch, broker)
     thread, granted = _in_thread(
-        lambda: broker.lease_group("w1", max_runs=8, wait_s=60.0))
+        lambda: broker.lease("w1", max_runs=8, wait_s=60.0).grants)
     assert blocked.wait(10.0)
     blocked.clear()
     broker.submit_sweep(sweep)
@@ -495,17 +496,17 @@ def test_waiting_lease_wakes_on_submission_and_on_drain(
     assert _run_ids(granted[0]) == [run.run_id for run in runs]
     # Nothing left: the next waiter blocks until drain wakes it.
     thread, granted = _in_thread(
-        lambda: broker.lease("w2", wait_s=60.0))
+        lambda: broker.lease("w2", wait_s=60.0).grants)
     assert blocked.wait(10.0)
     broker.drain()
     thread.join(10.0)
-    assert not thread.is_alive() and granted == [None]
+    assert not thread.is_alive() and granted == [()]
 
 
 def test_waiting_slots_return_when_their_slot_lands(
         monkeypatch, broker, sweep, serial_records):
     ack = broker.submit_sweep(sweep)
-    grant = broker.lease("w1")
+    grant, = broker.lease("w1").grants
     blocked = _blocked(monkeypatch, broker)
     thread, answers = _in_thread(
         lambda: broker.slots(ack.fleet_id, since=0, wait_s=60.0))
@@ -547,7 +548,7 @@ def test_recovery_reads_a_legacy_full_runs_submit_entry(tmp_path, runs):
     broker = FleetBroker(tmp_path / "fleets",
                          journal=FleetJournal(journal_dir))
     assert broker.recover()["fleets"] == 1
-    assert _run_ids(broker.lease_group("w1", max_runs=8)) == \
+    assert _run_ids(broker.lease("w1", max_runs=8).grants) == \
         [run.run_id for run in runs]
     # Recovery compacted the journal: the entry is compact now.
     entry, = FleetJournal(journal_dir).iter_types("submit")
@@ -1002,7 +1003,7 @@ def test_a_group_lease_carries_its_base_once(broker, sixteen_sweep,
         broker.submit_runs(runs, packed=json.loads(json.dumps(
             pack_runs(runs))))
     group = LeaseGroup.from_dict(json.loads(json.dumps(
-        broker.lease_packed("w1", max_runs=256).to_dict())))
+        broker.lease("w1", max_runs=256).to_dict())))
     assert len(group.grants) == 16
     assert len(group.bases) == 1
     assert not any("scenario" in grant.run for grant in group.grants)
@@ -1013,11 +1014,25 @@ def test_a_group_lease_carries_its_base_once(broker, sixteen_sweep,
 
 
 def test_the_single_run_lease_still_carries_a_full_run_spec(
-        broker, sixteen_sweep):
+        tmp_path, sixteen_sweep):
+    """``POST /lease`` without ``max_runs`` answers one grant whose run
+    is a full RunSpec dict, byte for byte as before, for a fleet
+    submitted as a sweep and for one submitted as a run list."""
     runs = sixteen_sweep.expand()
-    broker.submit_runs(runs)
-    grant = broker.lease("w1")
-    assert RunSpec.from_dict(grant.run) == runs[0]
+    bodies = {"sweep": {"sweep": sixteen_sweep.to_dict()},
+              "run list": pack_runs(runs)}
+    for name, body in bodies.items():
+        service = ReproService(tmp_path / name, port=0)
+        try:
+            service.submit(json.loads(json.dumps(body)))
+            answer = service.lease({"worker_id": "w1"})
+        finally:
+            service.httpd.server_close()
+        assert json.dumps(answer) == json.dumps(
+            {"api": API_VERSION, "lease_id": "fleet-0001:0:1",
+             "fleet_id": "fleet-0001", "run": runs[0].to_dict(),
+             "ttl_s": 60.0})
+        assert RunSpec.from_dict(answer["run"]) == runs[0]
 
 
 def test_the_worker_rebuilds_the_submitted_runs(tmp_path, monkeypatch,
@@ -1058,7 +1073,7 @@ def test_a_group_that_fails_its_spec_keys_is_failed_not_evaluated(
     try:
         ack = service.broker.submit_runs(runs, packed=tampered)
         client = ServiceClient(service.url)
-        group = client.lease_group("w1", max_runs=8)
+        group = client.lease_runs("w1", max_runs=8)
 
         class NeverEvaluates:
             def map(self, batch):
@@ -1087,7 +1102,7 @@ def test_a_batch_is_acked_item_by_item(tmp_path, runs, serial_records):
     try:
         client = ServiceClient(service.url)
         ack = client.submit_runs([run.to_dict() for run in runs])
-        first, second = client.lease_group("w1", max_runs=8).grants
+        first, second = client.lease_runs("w1", max_runs=8).grants
         good = serial_records[first.run["run_id"]].to_dict()
         outcomes = client.post_results([
             ResultSubmission(lease_id=first.lease_id, record=good),
@@ -1124,7 +1139,7 @@ def test_a_record_that_is_not_the_leased_runs_is_a_409(
     try:
         client = ServiceClient(service.url)
         ack = client.submit_runs([run.to_dict() for run in runs])
-        grants = client.lease_group("w1", max_runs=8).grants
+        grants = client.lease_runs("w1", max_runs=8).grants
         target, = [grant for grant in grants
                    if grant.run["run_id"] == runs[1].run_id]
         # Computed from runs[0]'s spec, labelled as runs[1].
@@ -1153,7 +1168,7 @@ def test_a_batch_lands_in_one_journal_write_and_one_wakeup(
     journal = FleetJournal(tmp_path / "journal")
     broker = FleetBroker(tmp_path / "fleets", clock=clock, journal=journal)
     ack = broker.submit_sweep(group_sweep)
-    grants = broker.lease_group("w1", max_runs=8)
+    grants = broker.lease("w1", max_runs=8).grants
     writes, wakeups = [], []
     append = journal.append
     notify_all = broker._cond.notify_all
@@ -1300,16 +1315,16 @@ def test_broker_lease_rate_cap_throttles_per_worker(tmp_path, clock,
     broker = FleetBroker(tmp_path / "fleets", clock=clock,
                          lease_rate_per_s=2.0)
     broker.submit_sweep(sweep)
-    assert broker.lease("w1") is not None
+    assert broker.lease("w1").grants
     # A second grant inside the 0.5 s interval is refused with the
     # remaining wait as the hint ...
     with pytest.raises(BrokerBusy) as exc_info:
         broker.lease("w1")
     assert exc_info.value.retry_after_s == pytest.approx(0.5)
     # ... but another worker has its own budget.
-    assert broker.lease("w2") is not None
+    assert broker.lease("w2").grants
     # An idle poll against a drained queue is never rate-limited.
-    assert broker.lease("w1") is None
+    assert broker.lease("w1").grants == ()
 
 
 def test_http_submission_limits_answer_429_with_retry_after(
@@ -1490,7 +1505,7 @@ def test_a_connection_dropped_mid_request_is_unavailable():
         with pytest.raises(ServiceUnavailable):
             client.health()
         with pytest.raises(ServiceUnavailable):
-            client.lease_group("w1", max_runs=4, wait_s=1.0)
+            client.lease_runs("w1", max_runs=4, wait_s=1.0)
     finally:
         thread.join(5.0)
         listener.close()
@@ -1503,12 +1518,12 @@ def test_worker_pauses_briefly_when_server_drains_or_vanishes(
     ``RETRY_PAUSE_S``, and the worker exits after ``MAX_UNREACHABLE``
     failed leases."""
     answers = [LeaseGroup(draining=True)] * 2
-    def lease_group(self, worker_id, *, max_runs, wait_s=0.0):
+    def lease_runs(self, worker_id, *, max_runs, wait_s=0.0):
         if answers:
             return answers.pop()
         raise ServiceUnavailable("connection refused")
     monkeypatch.setattr(ServiceClient, "health", lambda self: None)
-    monkeypatch.setattr(ServiceClient, "lease_group", lease_group)
+    monkeypatch.setattr(ServiceClient, "lease_runs", lease_runs)
     slept = []
     assert run_worker("http://127.0.0.1:9", poll_s=30.0,
                       sleep=slept.append) == 0

@@ -7,11 +7,7 @@ import json
 
 import pytest
 
-from repro.service.journal import (
-    SNAPSHOT_TYPE,
-    FleetJournal,
-    open_journal,
-)
+from repro.service.journal import SNAPSHOT_TYPE, FleetJournal
 
 
 @pytest.fixture
@@ -46,11 +42,6 @@ def test_sequence_continues_across_reopen(journal):
 
 def test_empty_directory_replays_nothing(tmp_path):
     assert FleetJournal(tmp_path / "fresh").replay() == []
-
-
-def test_open_journal_none_means_durability_off(tmp_path):
-    assert open_journal(None) is None
-    assert open_journal(tmp_path / "j").directory == tmp_path / "j"
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ converge to the analytic values.  This validates both sides: the
 formulas the models rely on and the kernel's event ordering under load.
 """
 
-import numpy as np
 import pytest
 
 from repro.net.queueing import md1_wait, mm1_residence, mm1_wait

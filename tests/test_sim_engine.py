@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    SimulationError,
-    Simulator,
-)
+from repro.sim import Interrupt, SimulationError, Simulator
 
 
 def test_clock_starts_at_zero():
