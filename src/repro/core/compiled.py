@@ -58,7 +58,7 @@ class CompiledScenario:
 
     #: bump when the pickled layout changes; the on-disk store treats
     #: a mismatch as a miss and recompiles
-    SCHEMA = 3
+    SCHEMA = 4
 
     def __init__(self, spec: ScenarioSpec, seed: int = 42,
                  density: float = 6.0):

@@ -95,6 +95,22 @@ class CompiledPath:
         """Queue draws (uniform+exponential pairs) per round trip."""
         return len(self._stoch_fwd) + len(self._stoch_back)
 
+    @property
+    def queue_links(self) -> tuple[tuple[tuple[float, float], ...], ...]:
+        """``(rho, exponential scale)`` per stochastic link: the forward
+        links, then the reverse links, each in walk (= draw) order."""
+        return self._stoch_fwd, self._stoch_back
+
+    def round_trip_of(self, qf, qb):
+        """The round-trip total given each direction's queueing sum.
+
+        Floats or float64 arrays: an array folds element-wise in the
+        same op order, so it equals :meth:`sample_round_trip` bit for
+        bit given the same per-direction sums.
+        """
+        return ((self._det_prop + self._det_trans) + (qf + qb)) \
+            + self._det_proc
+
     @staticmethod
     def _sample_direction(stochastic, random, exponential) -> float:
         queueing = 0.0
@@ -111,8 +127,7 @@ class CompiledPath:
         exponential = rng.exponential
         qf = self._sample_direction(self._stoch_fwd, random, exponential)
         qb = self._sample_direction(self._stoch_back, random, exponential)
-        return ((self._det_prop + self._det_trans) + (qf + qb)) \
-            + self._det_proc
+        return self.round_trip_of(qf, qb)
 
     def sample_echo(self, rng: np.random.Generator) -> float:
         """One echo RTT: each direction's total summed *before* adding.

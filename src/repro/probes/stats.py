@@ -57,6 +57,9 @@ class CellStatistics:
                     mean_s=float(rtts.mean()),
                     std_s=float(rtts.std(ddof=1)),
                     masked=False)
+        #: unmasked aggregates sorted by cell, for every headline number
+        self._measured = [a for _, a in sorted(self._aggregates.items())
+                          if not a.masked]
 
     # -- lookup -----------------------------------------------------------
 
@@ -69,8 +72,7 @@ class CellStatistics:
 
     def measured_cells(self) -> list[CellAggregate]:
         """Aggregates of all unmasked cells, sorted by cell."""
-        return [a for _, a in sorted(self._aggregates.items())
-                if not a.masked]
+        return list(self._measured)
 
     def masked_cells(self) -> list[CellAggregate]:
         """Aggregates of cells below the sample threshold."""
@@ -79,10 +81,9 @@ class CellStatistics:
     # -- headline numbers ---------------------------------------------------
 
     def _require_measured(self) -> list[CellAggregate]:
-        cells = self.measured_cells()
-        if not cells:
+        if not self._measured:
             raise ValueError("no cell reached the sample threshold")
-        return cells
+        return self._measured
 
     def min_mean_cell(self) -> CellAggregate:
         """The cell with the lowest mean RTL (the paper's C1)."""

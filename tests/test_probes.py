@@ -264,6 +264,33 @@ def test_stats_matrices(grid):
     assert mat[6, 5] == 0.0  # untouched cell masked as 0.0
 
 
+def test_stats_sort_the_measured_cells_once(grid, monkeypatch):
+    """The headline numbers reuse the sorted list construction made;
+    callers get copies of it."""
+    import repro.probes.stats as stats_module
+
+    ds = MeasurementDataset()
+    fill(ds, CellId.from_label("C3"), [0.061] * 12)
+    fill(ds, CellId.from_label("A2"), [0.070, 0.090] * 6)
+    fill(ds, CellId.from_label("B1"), [0.05] * 3)   # masked
+    sorts = []
+
+    def counted(*args, **kwargs):
+        sorts.append(1)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(stats_module, "sorted", counted, raising=False)
+    stats = CellStatistics(grid, ds)
+    assert len(sorts) == 1
+    stats.min_mean_cell(), stats.max_mean_cell(), stats.overall_mean_s()
+    stats.min_std_cell(), stats.max_std_cell()
+    assert len(sorts) == 1
+    cells = stats.measured_cells()
+    assert [a.cell.label for a in cells] == ["A2", "C3"]
+    cells.clear()
+    assert stats.max_mean_cell().cell == CellId.from_label("A2")
+
+
 def test_stats_empty_dataset_raises(grid):
     stats = CellStatistics(grid, MeasurementDataset())
     with pytest.raises(ValueError):
