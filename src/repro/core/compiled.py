@@ -113,7 +113,7 @@ class CompiledScenario:
                 f"scenario's build key")
         config = self._variant_config(spec)
         dataset = sample_run(self.precompute, config,
-                             RngRegistry(self.seed).stream, block_cache)
+                             RngRegistry(self.seed).streams, block_cache)
         stats = CellStatistics(self._grid, dataset)
         gap = GapAnalysis().report(stats, self.wired_rtts_s)
         return EvaluationSummary.of_run(

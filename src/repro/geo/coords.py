@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -96,20 +97,16 @@ def haversine_matrix(lats1: np.ndarray, lons1: np.ndarray,
 
 def _elementwise(func, values: np.ndarray) -> np.ndarray:
     """Apply a libm scalar function per element (no SIMD shortcuts)."""
-    out = np.empty_like(values)
-    flat_in, flat_out = values.ravel(), out.ravel()
-    for i in range(flat_in.size):
-        flat_out[i] = func(flat_in[i])
-    return out
+    return np.fromiter(map(func, values.ravel().tolist()),
+                       dtype=np.float64, count=values.size
+                       ).reshape(values.shape)
 
 
 def _pysquare(values: np.ndarray) -> np.ndarray:
     """Elementwise ``x ** 2`` through CPython's float pow (not ``x*x``)."""
-    out = np.empty_like(values)
-    flat_in, flat_out = values.ravel(), out.ravel()
-    for i in range(flat_in.size):
-        flat_out[i] = float(flat_in[i]) ** 2
-    return out
+    return np.fromiter(map(pow, values.ravel().tolist(), repeat(2)),
+                       dtype=np.float64, count=values.size
+                       ).reshape(values.shape)
 
 
 def haversine_many(lats1, lons1, lats2, lons2) -> np.ndarray:

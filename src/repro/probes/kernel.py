@@ -26,7 +26,10 @@ random draw:
    (per-run loads, handover knobs, peer radio situations) are read
    from the campaign config here.
 
-**Drawing a tape.**  Each of a cell's three streams draws one block of
+**Drawing a tape.**  The streams of every cell a run draws come from
+one call of the run's stream factory (a registry's bulk
+:meth:`~repro.sim.rng.RngRegistry.streams`, which seeds them all at
+once).  Each of a cell's three streams draws one block of
 raw 64-bit words (``bit_generator.random_raw``), and the run's blocks
 are decoded with numpy the way numpy's ``Generator`` reads
 words: ``random()`` is ``(w >> 11) * 2**-53``, and
@@ -96,7 +99,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -358,9 +361,10 @@ class KernelPrecompute:
     targets: tuple[str, ...]
 
 
-#: ``stream_factory(*name_parts) -> Generator`` — either a registry's
-#: (position-preserving) ``stream`` or a per-run fresh-stream factory.
-StreamFactory = Callable[..., np.random.Generator]
+#: ``streams(names) -> [Generator]``, one generator per name-parts
+#: tuple: a registry's :meth:`~repro.sim.rng.RngRegistry.streams`,
+#: which seeds all the streams it has not made yet in one bulk call.
+StreamFactory = Callable[[Sequence[tuple]], list[np.random.Generator]]
 
 
 #: The three per-cell streams a tape draws from, in creation order.
@@ -985,12 +989,16 @@ def _draw_tapes(pre: KernelPrecompute, todo: list[tuple],
                 peer_draws: dict[str, tuple]) -> list[np.ndarray]:
     """The tapes of the ``(block, queued, p_ho)`` cells in ``todo``.
 
-    Each stream draws one block of raw words, decoded with numpy (see
-    the module docstring); a failed self-check or a stream of another
-    bit generator draws call by call instead.
+    The cells' streams come from one ``stream_factory`` call.  Each
+    stream draws one block of raw words, decoded with numpy (see the
+    module docstring); a failed self-check or a stream of another bit
+    generator draws call by call instead.
     """
-    streams = [tuple(stream_factory(name, block.label)
-                     for name in _STREAMS) for block, _, _ in todo]
+    made = stream_factory([(name, block.label) for block, _, _ in todo
+                           for name in _STREAMS])
+    width = len(_STREAMS)
+    streams = [tuple(made[i:i + width])
+               for i in range(0, len(made), width)]
     if not _decoder_ok() or any(
             type(gen.bit_generator) is not np.random.PCG64
             for trio in streams for gen in trio):
@@ -1085,12 +1093,12 @@ def sample_run(pre: KernelPrecompute, config: "CampaignConfig",
 
     Reads only sampling-layer values from ``config``; every stochastic
     draw replicates the scalar pipeline on the streams
-    ``stream_factory`` hands out.  With a ``block_cache`` (shared
-    across runs of one build group), a cell whose draw-consumption key
-    matches an earlier run reuses that run's tape instead of
-    re-drawing — bit-identical because per-cell streams restart from
-    the same state for every run of the group.  The cache gains one
-    entry per cell drawn afresh.
+    ``stream_factory`` hands out (one call for all the cells drawn).
+    With a ``block_cache`` (shared across runs of one build group), a
+    cell whose draw-consumption key matches an earlier run reuses that
+    run's tape instead of re-drawing — bit-identical because per-cell
+    streams restart from the same state for every run of the group.
+    The cache gains one entry per cell drawn afresh.
     """
     interruption = config.handover_interruption_s
     handover_prob = config.handover_prob
@@ -1429,7 +1437,7 @@ class CampaignKernel:
         pre = self.precompute()
         t3 = time.perf_counter()
         dataset = sample_run(pre, self.campaign.config,
-                             self.campaign.rng.stream, None)
+                             self.campaign.rng.streams, None)
         self.stage_seconds["sampling"] = time.perf_counter() - t3
         return dataset
 

@@ -3,8 +3,8 @@
 A campaign produces tens of thousands of RTT samples.  The dataset
 stores them column-wise in NumPy arrays (times, cell indices, target
 ids, RTTs) so per-cell aggregation in :mod:`repro.probes.stats` is a
-masked reduction, not a Python loop; row-wise dataclass records are
-materialised only at the API boundary.
+few array passes, not a Python loop over samples; row-wise dataclass
+records are materialised only at the API boundary.
 """
 
 from __future__ import annotations
@@ -130,6 +130,12 @@ class MeasurementDataset:
         view = self._times[:self._n]
         view.flags.writeable = False
         return view
+
+    def cell_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(col, row)`` index columns of every sample."""
+        cols, rows = self._cols[:self._n], self._rows[:self._n]
+        cols.flags.writeable = rows.flags.writeable = False
+        return cols, rows
 
     def cell_mask(self, cell: CellId) -> np.ndarray:
         """Boolean mask of samples taken in ``cell``."""

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from ..geo.coords import GeoPoint
-from ..sim.rng import stable_seed
+from ..sim.rng import pcg64_many, stable_seed
 from ..sim.sync import guarded_by
 
 __all__ = ["ChannelModel"]
@@ -37,12 +37,20 @@ class ChannelModel:
 
     The shadowing-tile memo is shared whenever one compiled scenario
     is sampled by several threads (a caller sharing one compiled-
-    scenario cache across threads), so it is ``guarded_by`` a plain :class:`threading.RLock` — plain
-    rather than a :class:`~repro.sim.sync.WatchedLock` because this
-    sits on the sampling hot path (~2k lookups per evaluation) and
-    the stdlib lock's C fast path matters here.  The draw itself is a
-    pure function of ``(seed, sigma, tile)``, so locking is
-    observationally invisible to the golden digests.
+    scenario cache across threads), so it is ``guarded_by`` a plain
+    :class:`threading.RLock` — plain rather than a
+    :class:`~repro.sim.sync.WatchedLock` because this sits on the
+    sampling hot path (~2k lookups per evaluation) and the stdlib
+    lock's C fast path matters here.  The draw itself is a pure
+    function of ``(seed, sigma, tile)``, so locking is observationally
+    invisible to the golden digests.
+
+    A batch (:meth:`shadowing_db_many`, the serving-matrix path) takes
+    the lock once, seeds the generators of every tile the memo lacks
+    in one bulk call (:func:`~repro.sim.rng.pcg64_many`, about a third
+    of ``PCG64(seed)``'s cost each), and then replays the per-call
+    memo walk with the values looked up, so the memo's tiles, values,
+    recency order and evictions are exactly the per-call loop's.
     """
 
     #: memoised tile -> shadowing value, LRU in dict order
@@ -125,11 +133,8 @@ class ChannelModel:
         if np.any(d < 0):
             raise ValueError("distance must be non-negative")
         d = np.maximum(d, 10.0)
-        logs = np.empty_like(d)
-        flat_in, flat_out = d.ravel(), logs.ravel()
-        log10 = math.log10
-        for i in range(flat_in.size):
-            flat_out[i] = log10(flat_in[i])
+        logs = np.fromiter(map(math.log10, d.ravel().tolist()),
+                           dtype=np.float64, count=d.size).reshape(d.shape)
         fc_ghz = self.fc_hz / 1e9
         return (13.54 + 39.08 * logs) + 20.0 * math.log10(fc_ghz)
 
@@ -140,34 +145,67 @@ class ChannelModel:
         same shadowing value, approximating the de-correlation distance
         of urban log-normal shadowing.
         """
-        tile = (round(location.lat * 1e4), round(location.lon * 1e4))
+        tile = self._tile(location)
         with self._shadow_lock:
-            inputs = (self.seed, self.shadowing_sigma_db)
-            if inputs != self._shadow_inputs:
-                self._shadow_cache.clear()
-                self._shadow_inputs = inputs
-            cache = self._shadow_cache
-            value = cache.pop(tile, None)
+            value = self._memo().get(tile)
             if value is None:
-                rng = np.random.Generator(np.random.PCG64(
+                value = self._draw(np.random.PCG64(
                     stable_seed(self.seed, "shadow", *tile)))
-                value = float(rng.normal(0.0, self.shadowing_sigma_db))
-                while len(cache) >= self.SHADOW_CACHE_CAPACITY:
-                    del cache[next(iter(cache))]
-            # (Re-)insert at the back: dict order is recency order, so
-            # the eviction above drops the least recently used tile.
-            cache[tile] = value
+            self._touch(tile, value)
         return value
 
     def shadowing_db_many(self, locations: Sequence[GeoPoint]) -> np.ndarray:
         """Shadowing for a batch of locations (populates the tile memo).
 
-        Each unique tile derives its generator exactly once; repeated
-        tiles along a drive route are free.  Element ``i`` equals
-        ``shadowing_db(locations[i])`` bitwise.
+        Element ``i`` equals ``shadowing_db(locations[i])`` bitwise, and
+        the memo ends as ``[self.shadowing_db(p) for p in locations]``
+        leaves it: same tiles, same recency order, same evictions.  The
+        tiles the memo lacks at the start are seeded in one bulk call
+        (:func:`~repro.sim.rng.pcg64_many`) before the memo is touched;
+        the per-location walk then only looks values up.
         """
-        return np.array([self.shadowing_db(p) for p in locations],
-                        dtype=np.float64)
+        tiles = [self._tile(p) for p in locations]
+        with self._shadow_lock:
+            cache = self._memo()
+            known = {tile: cache[tile] for tile in tiles if tile in cache}
+            new = [tile for tile in dict.fromkeys(tiles) if tile not in known]
+            bit_generators = pcg64_many(
+                [stable_seed(self.seed, "shadow", *tile) for tile in new])
+            for tile, bit_generator in zip(new, bit_generators):
+                known[tile] = self._draw(bit_generator)
+            for tile in tiles:
+                self._touch(tile, known[tile])
+        return np.array([known[tile] for tile in tiles], dtype=np.float64)
+
+    @staticmethod
+    def _tile(location: GeoPoint) -> tuple[int, int]:
+        return (round(location.lat * 1e4), round(location.lon * 1e4))
+
+    def _draw(self, bit_generator: np.random.PCG64) -> float:
+        """A tile's shadowing value from its freshly seeded generator."""
+        return float(np.random.Generator(bit_generator)
+                     .normal(0.0, self.shadowing_sigma_db))
+
+    def _memo(self  # lint: holds(_shadow_lock)
+              ) -> dict[tuple[int, int], float]:
+        """The tile memo, emptied if seed or sigma changed since it
+        was filled."""
+        inputs = (self.seed, self.shadowing_sigma_db)
+        if inputs != self._shadow_inputs:
+            self._shadow_cache.clear()
+            self._shadow_inputs = inputs
+        return self._shadow_cache
+
+    def _touch(self, tile: tuple[int, int],  # lint: holds(_shadow_lock)
+               value: float) -> None:
+        """(Re-)insert ``tile`` at the back of the memo: dict order is
+        recency order, so evicting from the front drops the least
+        recently used tile."""
+        cache = self._shadow_cache
+        if cache.pop(tile, None) is None:
+            while len(cache) >= self.SHADOW_CACHE_CAPACITY:
+                del cache[next(iter(cache))]
+        cache[tile] = value
 
     @property
     def noise_dbm(self) -> float:

@@ -22,8 +22,9 @@ requests.  Determinism needs no help here — a
 shows in the record.
 
 Failure handling mirrors the broker's fault model: an evaluation
-error is reported (the run re-queues immediately for another worker),
-and a worker that dies silently just lets its leases expire: the runs
+error is reported (the run re-queues immediately for another worker;
+a worker whose whole group failed pauses before its next lease), and
+a worker that dies silently just lets its leases expire: the runs
 whose results were not acked yet return to the queue.  Every
 request runs under the shared :class:`~repro.service.retry.RetryPolicy`
 — transient connection errors, server restarts, and 429 backpressure
@@ -62,7 +63,8 @@ MAX_UNREACHABLE = 5
 MAX_GROUP_RUNS = 256
 
 #: Pause before asking again when the server is unreachable or
-#: draining (both answer at once, so the loop must not spin).
+#: draining, or a leased group landed no result (all answer at once,
+#: so the loop must not spin).
 RETRY_PAUSE_S = 0.5
 
 
@@ -163,6 +165,11 @@ def run_worker(server: str, *, worker_id: str = "",
             if lost:
                 say(f"{worker_id}: server lost mid-result, exiting")
                 break
+            if not posted:
+                # Every run failed (or the group did not unpack), and
+                # the broker re-queues failures at once: pause, or a
+                # group that fails every time is leased in a hot loop.
+                sleep(RETRY_PAUSE_S)
     finally:
         executor.close()
         client.close()

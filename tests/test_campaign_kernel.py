@@ -178,7 +178,7 @@ def test_shared_tapes_match_the_scalar_oracle(order):
             kernel=False)
         taped = sample_run(compiled.precompute,
                            compiled._variant_config(variant),
-                           RngRegistry(seed).stream, cache)
+                           RngRegistry(seed).streams, cache)
         assert_datasets_identical(scalar, taped)
     # Some cells were redrawn, most were shared; B2 was drawn both
     # without and with own-air queueing.
@@ -205,8 +205,8 @@ def test_tapes_are_keyed_by_the_peer_sites_air_constants():
     for site in (0, 2, 0):
         config = compiled._variant_config(
             spec.with_overrides({"campaign.peer_site_index": site}))
-        shared = sample_run(pre, config, RngRegistry(42).stream, cache)
-        fresh = sample_run(pre, config, RngRegistry(42).stream, None)
+        shared = sample_run(pre, config, RngRegistry(42).streams, cache)
+        fresh = sample_run(pre, config, RngRegistry(42).streams, None)
         assert_datasets_identical(fresh, shared)
 
 
@@ -516,7 +516,7 @@ def test_self_check_runs_once(monkeypatch):
     compiled = CompiledScenario(klagenfurt(), seed=42, density=2.0)
     config = compiled._variant_config(klagenfurt())
     for _ in range(2):
-        sample_run(compiled.precompute, config, RngRegistry(42).stream)
+        sample_run(compiled.precompute, config, RngRegistry(42).streams)
     assert checks == [1]
 
 
@@ -553,8 +553,9 @@ def test_other_bit_generators_are_drawn_call_by_call(monkeypatch):
     compiled = CompiledScenario(klagenfurt(), seed=42, density=2.0)
     config = compiled._variant_config(klagenfurt())
 
-    def mt19937(*parts):
-        return np.random.Generator(np.random.MT19937(stable_seed(*parts)))
+    def mt19937(names):
+        return [np.random.Generator(np.random.MT19937(stable_seed(*parts)))
+                for parts in names]
 
     mixed = sample_run(compiled.precompute, config, mt19937)
     monkeypatch.setattr(kernel, "_DECODER_OK", False)

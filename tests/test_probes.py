@@ -291,6 +291,69 @@ def test_stats_sort_the_measured_cells_once(grid, monkeypatch):
     assert stats.max_mean_cell().cell == CellId.from_label("A2")
 
 
+def test_pairwise_sums_match_numpy_for_every_length():
+    """numpy's pairwise sum, emulated for lengths 1..128 (under 8, the
+    8-block tail) and handed to numpy above that: sums, means and
+    standard deviations for every length 1..1000, bit for bit."""
+    import repro.probes.stats as stats_module
+
+    def pairwise_sums(values, starts, lengths):
+        sums = stats_module._PairwiseSums(starts, lengths, len(values))
+        return sums(np.append(values, -0.0))
+
+    rng = np.random.default_rng(32)
+    for n in range(1, 1001):
+        # magnitudes spread over six decades, so rounding shows
+        values = rng.exponential(0.05, n) * 10.0 ** rng.uniform(-3, 3, n)
+        start, length = np.array([0]), np.array([n])
+        if n <= 128:
+            assert pairwise_sums(values, start, length)[0] \
+                == np.add.reduce(values), n
+        if n == 1:
+            continue     # std(ddof=1) of one sample is numpy's nan
+        means, stds = stats_module._moments(values, start, length,
+                                            np.array([True]))
+        assert means[0] == values.mean(), n
+        assert stds[0] == values.std(ddof=1), n
+    # Many slices at once, of mixed lengths, in one array.
+    lengths = rng.integers(1, 129, 60)
+    starts = np.cumsum(lengths) - lengths
+    values = rng.exponential(0.05, int(lengths.sum()))
+    assert np.array_equal(
+        pairwise_sums(values, starts, lengths),
+        [np.add.reduce(values[a:a + n]) for a, n in zip(starts, lengths)])
+
+
+def test_stats_on_interleaved_rows_equal_masked_numpy(grid):
+    """Rows of many cells in shuffled order (a cell over 128 samples,
+    cells under 8 and under 10, one sample off the grid): every cell's
+    mean and std equal numpy's on the cell's mask, bit for bit."""
+    rng = np.random.default_rng(7)
+    sizes = {"A1": 3, "A2": 9, "B4": 10, "C3": 17, "D6": 64, "E5": 129,
+             "F7": 300, "C1": 1}
+    rows = [(CellId.from_label(label), float(rng.exponential(0.05)))
+            for label, size in sizes.items() for _ in range(size)]
+    rows.append((CellId(8, 2), 0.5))     # outside the 6 x 7 grid
+    ds = MeasurementDataset()
+    for index in rng.permutation(len(rows)).tolist():
+        cell, rtt = rows[index]
+        ds.add(float(index), cell, "t", rtt)
+    stats = CellStatistics(grid, ds)
+    cols, rows_ = ds.cell_columns()
+    for cell in grid.cells():
+        values = ds.rtts[(cols == cell.col) & (rows_ == cell.row)]
+        agg = stats.aggregate(cell)
+        assert agg.count == values.size
+        if values.size < 10:
+            assert agg.masked and agg.mean_s == agg.std_s == 0.0
+        else:
+            assert not agg.masked
+            assert agg.mean_s == float(values.mean())
+            assert agg.std_s == float(values.std(ddof=1))
+    assert [a.cell.label for a in stats.measured_cells()] == \
+        ["B4", "C3", "D6", "E5", "F7"]
+
+
 def test_stats_empty_dataset_raises(grid):
     stats = CellStatistics(grid, MeasurementDataset())
     with pytest.raises(ValueError):

@@ -200,6 +200,34 @@ def test_shadowing_memo_matches_fresh_instance(channel):
         assert value == fresh.shadowing_db(spot)
 
 
+@pytest.mark.parametrize("capacity", [65536, 7, 3])
+def test_shadowing_many_leaves_the_memo_as_per_call_lookups(monkeypatch,
+                                                            capacity):
+    """One bulk-seeded batch leaves the memo with the tiles, values and
+    recency order (evictions included) the per-call loop leaves."""
+    monkeypatch.setattr(ChannelModel, "SHADOW_CACHE_CAPACITY", capacity)
+    spots = [GeoPoint(46.62 + 0.001 * (i % 9), 14.30 + 0.0007 * (i % 5))
+             for i in range(40)]
+    warm = spots[3:6] + [GeoPoint(46.7, 14.4)]
+    bulk, per_call = ChannelModel(3.5e9, seed=7), ChannelModel(3.5e9, seed=7)
+    for model in (bulk, per_call):
+        for spot in warm:
+            model.shadowing_db(spot)
+    batch = bulk.shadowing_db_many(spots)
+    looped = [per_call.shadowing_db(spot) for spot in spots]
+    assert batch.tolist() == looped
+    with bulk._shadow_lock, per_call._shadow_lock:
+        assert list(bulk._shadow_cache.items()) \
+            == list(per_call._shadow_cache.items())
+    # A changed sigma clears the memo in both forms alike.
+    bulk.shadowing_sigma_db = per_call.shadowing_sigma_db = 4.0
+    assert bulk.shadowing_db_many(spots[:4]).tolist() \
+        == [per_call.shadowing_db(spot) for spot in spots[:4]]
+    with bulk._shadow_lock, per_call._shadow_lock:
+        assert list(bulk._shadow_cache.items()) \
+            == list(per_call._shadow_cache.items())
+
+
 def test_pathloss_many_bitwise_equals_scalar(channel):
     rng = np.random.default_rng(11)
     distances = np.concatenate([

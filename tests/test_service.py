@@ -1089,6 +1089,48 @@ def test_a_group_that_fails_its_spec_keys_is_failed_not_evaluated(
     assert batches == [["error"] * 4]
 
 
+def test_a_group_that_always_fails_is_not_leased_in_a_hot_loop(
+        tmp_path, monkeypatch, sixteen_sweep):
+    """The broker re-queues a failed run at once, so a worker whose
+    whole group failed pauses before it leases again."""
+    runs = sixteen_sweep.expand()[:2]
+    tampered = pack_runs(runs)
+    tampered["runs"][1]["spec_key"] = "0" * 64
+
+    class Stop(Exception):
+        pass
+
+    leases = []
+    lease_runs = ServiceClient.lease_runs
+
+    def counted(self, *args, **kwargs):
+        group = lease_runs(self, *args, **kwargs)
+        if group.grants:
+            leases.append(len(group.grants))
+            if len(leases) > 10:
+                raise Stop("leased in a hot loop")
+        return group
+    monkeypatch.setattr(ServiceClient, "lease_runs", counted)
+    pauses = []
+
+    def sleep(seconds):
+        pauses.append(seconds)
+        if len(pauses) == 3:
+            raise Stop("paused three times")
+    service = ReproService(tmp_path / "root", port=0)
+    service.start()
+    try:
+        service.broker.submit_runs(runs, packed=tampered)
+        with pytest.raises(Stop):
+            run_worker(service.url, poll_s=0.05, max_idle_s=1.0,
+                       sleep=sleep)
+    finally:
+        service.stop()
+    assert leases == [2] * len(leases)
+    assert pauses == [worker_module.RETRY_PAUSE_S] * 3
+    assert len(leases) <= len(pauses)
+
+
 # ---------------------------------------------------------------------------
 # Batched results: per-item acks, and how the worker batches
 # ---------------------------------------------------------------------------

@@ -1,13 +1,21 @@
 """Tests for deterministic RNG streams and monitors."""
 
+import hashlib
+import json
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import repro.sim.rng as rng_module
 from repro.sim import RngRegistry, SeriesMonitor
-from repro.sim.rng import stable_seed
+from repro.sim.rng import pcg64_many, stable_seed
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +96,107 @@ def test_stable_seed_in_64bit_range(parts):
 def test_stable_seed_no_separator_collision():
     # "ab"+"c" must differ from "a"+"bc"
     assert stable_seed("ab", "c") != stable_seed("a", "bc")
+
+
+# ---------------------------------------------------------------------------
+# Bulk seeding
+# ---------------------------------------------------------------------------
+
+EDGE_SEEDS = [0, 1, 2, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+
+
+def test_bulk_state_words_are_seed_sequences():
+    """Every row is ``SeedSequence(seed).generate_state(4, uint64)``:
+    the edge seeds and 10k ``stable_seed`` values."""
+    seeds = EDGE_SEEDS + [stable_seed("bulk", i) for i in range(10_000)]
+    words = rng_module._state_words(seeds)
+    assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+    for seed, row in zip(seeds, words):
+        want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        assert np.array_equal(row, want), seed
+
+
+def test_bulk_seeded_generators_are_pcg64s():
+    seeds = EDGE_SEEDS + [stable_seed("gen", i) for i in range(200)]
+    for seed, made in zip(seeds, pcg64_many(seeds)):
+        ref = np.random.PCG64(seed)
+        assert made.state == ref.state, seed
+        assert np.random.Generator(made).normal() \
+            == np.random.Generator(ref).normal()
+    assert pcg64_many([]) == []
+
+
+def test_a_bulk_seeded_generator_pickles():
+    gen = np.random.Generator(pcg64_many([stable_seed("pickle")])[0])
+    gen.random(3)
+    copy = pickle.loads(pickle.dumps(gen))
+    assert np.array_equal(copy.random(8), gen.random(8))
+
+
+def test_registry_streams_equal_stream_calls():
+    names = [("campaign.air", "C1"), ("campaign.net", "C1"),
+             ("campaign.air", "C1"), ("x", 2)]
+    bulk, single = RngRegistry(seed=9), RngRegistry(seed=9)
+    kept = bulk.stream("campaign.net", "C1")
+    kept.random(5)
+    made = bulk.streams(names)
+    # cached streams are handed back where they stand; repeats alias
+    assert made[1] is kept and made[0] is made[2]
+    single.stream("campaign.net", "C1").random(5)
+    for gen, name in zip(made, names):
+        assert gen is bulk.stream(*name)
+        assert gen.bit_generator.state \
+            == single.stream(*name).bit_generator.state
+    assert list(bulk) == list(single)
+    with pytest.raises(ValueError):
+        bulk.streams([()])
+
+
+def test_a_failed_bulk_self_check_seeds_one_by_one(monkeypatch):
+    """Should the self-check fail, bulk calls build ``PCG64(seed)``
+    each, and the golden digests still hold."""
+    from test_golden_digests import GOLDEN_SHA256
+    from repro.core.evaluation import InfrastructureEvaluation
+
+    state_words = rng_module._state_words
+    monkeypatch.setattr(rng_module, "_BULK_OK", None)
+    monkeypatch.setattr(rng_module, "_state_words",
+                        lambda seeds: state_words(seeds) ^ np.uint64(1))
+    seeds = [stable_seed("fallback", i) for i in range(5)]
+    for seed, made in zip(seeds, pcg64_many(seeds)):
+        assert made.state == np.random.PCG64(seed).state
+    assert rng_module._BULK_OK is False
+    for scenario, digest in GOLDEN_SHA256.items():
+        summary = InfrastructureEvaluation(
+            seed=42, scenario=scenario).run().summary()
+        assert hashlib.sha256(summary.canonical_json().encode(
+            "utf-8")).hexdigest() == digest
+
+
+def test_bulk_self_check_waits_for_the_first_bulk_call():
+    """Neither importing the module nor ``repro --version`` probes
+    numpy's seeding; the first bulk call does, once."""
+    code = """
+import contextlib, io, json
+import repro.sim.rng as rng
+seen = [rng._BULK_OK]
+from repro.__main__ import main
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        main(["--version"])
+    except SystemExit:
+        pass
+seen.append(rng._BULK_OK)
+rng.RngRegistry(1).streams([("a",), ("b",)])
+seen.append(rng._BULK_OK)
+print(json.dumps(seen))
+"""
+    src = Path(rng_module.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [None, None, True]
 
 
 # ---------------------------------------------------------------------------
